@@ -90,7 +90,7 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
 def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", choices=BACKENDS, default=None,
                         help="cycle-core implementation (default: "
-                             "$REPRO_BACKEND or 'object'); exported to "
+                             "$REPRO_BACKEND or 'array'); exported to "
                              "the environment so worker processes "
                              "inherit it")
 

@@ -1,4 +1,4 @@
-"""Struct-of-arrays cycle core (``REPRO_BACKEND=array``).
+"""Struct-of-arrays cycle core (the default ``array`` backend).
 
 This is the same machine as :class:`repro.pipeline.core.Pipeline` —
 same fetch/dispatch/issue/complete/commit algorithm, same policy and
@@ -19,7 +19,13 @@ dict calendars:
   (bit ``i`` = instance ``i`` holds an op that cycle); the per-cycle
   activity tuples handed to policies are table look-ups on the mask;
 * D-cache port reservations are int rings, and the issue-count latch
-  history reuses the object core's ring-buffer layout verbatim.
+  history reuses the object core's ring-buffer layout verbatim;
+* issue is event-driven: an op enters a *wake calendar* (another
+  ``cycle & mask`` ring) once its last operand's ready cycle is final,
+  and select walks only the ops whose calendar entry has drained,
+  instead of rescanning every waiting op every cycle;
+* the utilisation totals are integer running sums kept in the step
+  and written into :attr:`totals` when :meth:`run` returns.
 
 The entire per-cycle step runs as one fused method so the hot loop
 pays for list indexing instead of attribute chases, object allocation,
@@ -38,13 +44,11 @@ Equivalence subtleties (all pinned by
   their completion-calendar entry drains (mirroring the object core's
   liveness through the calendar reference); unissued or completed ones
   free at squash time.
-
-Batching seam (DESIGN.md §14): every column is indexed by a flat slot
-id and every ring by ``cycle & mask``, with no per-run global state
-outside ``self``.  Running K independent seeds in lockstep means
-widening each column to K rows per slot and letting the per-cycle
-loops stride over runs — the layout was chosen so that change is
-mechanical and ships in a follow-up.
+* Select must visit ready ops in dispatch order, as the object core's
+  scan does.  Wake entries drain in wake order, so the candidate list
+  is re-sorted on a per-slot dispatch counter whenever a drain adds to
+  it.  Wake entries carry the slot's generation; an entry whose op was
+  squashed or whose slot was recycled is dropped at drain.
 
 This module deliberately does not support :meth:`Pipeline.capture_ops`
 (pipetrace rendering keeps using the object core, which retains real
@@ -148,6 +152,7 @@ class ArrayPipeline:
         self._line_bytes = self.hierarchy.l1i.line_bytes
         self._l1i_hit_latency = self.hierarchy.config.l1i.hit_latency
         self._l1d_hit_latency = self.hierarchy.config.l1d.hit_latency
+        self._mwp = config.model_wrong_path
 
         regread, execute, mem = depth.regread, depth.execute, depth.mem
         self._rename_depth = depth.rename
@@ -186,6 +191,10 @@ class ArrayPipeline:
         self._resolve_ring: List[List[int]] = [[] for _ in range(size)]
         self._pload_ring = [0] * size
         self._pstore_ring = [0] * size
+        #: wake calendar: (slot, generation) entries keyed by the cycle
+        #: the op's last operand becomes ready
+        self._wake_ring: List[List[Tuple[int, int]]] = [
+            [] for _ in range(size)]
 
         # functional units: per-class busy_until columns + activity
         # bitmask rings + per-class mask->tuple tables
@@ -200,16 +209,16 @@ class ArrayPipeline:
                            is AllocationPolicy.SEQUENTIAL_PRIORITY)
         self._act_rings: List[List[int]] = [
             [0] * size for _ in _FU_MEMBERS]
-        self._exec_rows: Tuple[Tuple[FUClass, int, List[int],
-                                     Tuple[Tuple[bool, ...], ...],
-                                     int], ...] = \
-            tuple((cls, int(cls), self._act_rings[int(cls)],
-                   _mask_table(counts.get(cls, 0)), counts.get(cls, 0))
+        self._exec_rows: Tuple[Tuple[FUClass, List[int],
+                                     Tuple[Tuple[bool, ...], ...]], ...] = \
+            tuple((cls, self._act_rings[int(cls)],
+                   _mask_table(counts.get(cls, 0)))
                   for cls in _FU_EXEC_CLASSES)
-        #: reusable (class, active, capacity) rows handed to
-        #: UsageTotals.add so it never re-sums activity tuples
-        self._fu_counts_buf: List[Tuple[FUClass, int, int]] = \
-            [(cls, 0, 0) for cls in _FU_EXEC_CLASSES]
+        #: fu_active of a cycle no grant reaches, and the first cycle
+        #: past every grant made so far
+        self._idle_fu_active: Dict[FUClass, Tuple[bool, ...]] = {
+            cls: table[0] for cls, _, table in self._exec_rows}
+        self._act_until = 0
         self._last_cons: Optional[CycleConstraints] = None
         #: constant-constraints fast path (base / DCG): fetch once,
         #: skip the per-cycle constraints() call
@@ -243,6 +252,8 @@ class ArrayPipeline:
         #: recycled under a live calendar reference
         self._resq: List[int] = []
         self._gen: List[int] = []
+        #: dispatch counter: select order among ready candidates
+        self._dseq: List[int] = []
         self._wait: List[List[int]] = []
         self._free: List[int] = []
         self._grow(cap)
@@ -250,7 +261,9 @@ class ArrayPipeline:
         # machine state
         self.cycle = 0
         self._window: Deque[int] = deque()
-        self._pending_issue: List[int] = []
+        #: woken, unissued ops in dispatch order — the select candidates
+        self._cands: List[int] = []
+        self._dispatch_count = 0
         self._frontend: Deque[tuple] = deque()
         self._frontend_cap = config.fetch_width * (self._front_latency + 2)
         self._lsq_count = 0
@@ -271,6 +284,17 @@ class ArrayPipeline:
         self._checkpoint: Optional[Tuple[int, int, List[int],
                                          List[int]]] = None
         self._last_commit_cycle = 0
+
+        # integer running sums behind self.totals (see _fold_totals);
+        # committed, fetched and dispatched counts come from self.stats
+        self._t_issued = 0
+        self._t_ports = 0
+        self._t_buses = 0
+        self._t_stalls = 0
+        self._t_rf = 0
+        self._t_ex = 0
+        self._t_mem = 0
+        self._t_active = [0] * len(self._exec_rows)
 
     # ------------------------------------------------------------------
     # slot management
@@ -298,6 +322,7 @@ class ArrayPipeline:
         self._sq.extend([0] * extra)
         self._resq.extend([0] * extra)
         self._gen.extend([0] * extra)
+        self._dseq.extend([0] * extra)
         self._wait.extend([] for _ in range(extra))
         self._cap += extra
         self._free.extend(range(self._cap - 1, base - 1, -1))
@@ -344,8 +369,43 @@ class ArrayPipeline:
                 raise RuntimeError(
                     f"pipeline deadlock: no commit since cycle "
                     f"{self._last_commit_cycle} (now {self.cycle})")
+        self._fold_totals()
         self.stats.finalize(self)
         return self.stats
+
+    def _fold_totals(self) -> None:
+        """Write the step's running sums into :attr:`totals`.
+
+        Assigns rather than adds, so it is idempotent: a run driven in
+        chunks (or paused, pickled and resumed) ends with the same
+        totals as one uninterrupted :meth:`run`.
+        """
+        totals = self.totals
+        stats = self.stats
+        cycles = self.cycle
+        totals.cycles = cycles
+        totals.issued = self._t_issued
+        totals.committed = stats.committed
+        totals.fetched = stats.fetched + stats.wrong_path_fetched
+        totals.dcache_port_cycles = self._t_ports
+        totals.result_bus_cycles = self._t_buses
+        totals.fetch_stall_cycles = self._t_stalls
+        if not cycles:
+            return
+        totals.fu_active_cycles = dict(zip(_FU_EXEC_CLASSES,
+                                           self._t_active))
+        totals.fu_capacity_cycles = {
+            cls: self._fu_len[cls] * cycles for cls in _FU_EXEC_CLASSES}
+        totals.latch_slot_cycles = {
+            "writeback": self._t_buses * self._writeback_depth,
+            "regread": self._t_rf,
+            "execute": self._t_ex,
+            "mem": self._t_mem,
+            # every dispatched op is committed, squashed or still in
+            # the window, so the dispatch count needs no running sum
+            "rename": (stats.committed + stats.wrong_path_squashed
+                       + len(self._window)) * self._rename_depth,
+        }
 
     # ------------------------------------------------------------------
     # the fused per-cycle step
@@ -372,30 +432,21 @@ class ArrayPipeline:
             self._last_cons = cons
         usage = CycleUsage(c)
         stats = self.stats
-        mwp = self.config.model_wrong_path
+        mwp = self._mwp
         cmask = self._cal_mask
         cidx = c & cmask
-
+        # columns are bound to locals inside the stage that uses them:
+        # most cycles of a memory-bound run have nothing to commit,
+        # issue or dispatch, and should not pay for the look-ups
         o_done = self._done
-        o_com = self._com
         o_sq = self._sq
-        o_flags = self._flags
-        o_dest = self._dest
-        o_ready = self._ready
-        o_unres = self._unres
-        o_icyc = self._icyc
-        o_cons = self._cons_ready
-        o_seq = self._seq
-        o_mem = self._mem
-        o_wp = self._wp
-        o_wait = self._wait
-        rp = self._rp
         window = self._window
 
         # -- branch resolution ------------------------------------------
         resolve_list = self._resolve_ring[cidx]
         if resolve_list:
             predictor_resolve = self.predictor.resolve
+            o_com = self._com
             o_pc = self._pc
             o_taken = self._taken
             o_btarget = self._btarget
@@ -450,11 +501,15 @@ class ArrayPipeline:
                     o_done[s] = 1
             other_list.clear()
         usage.result_bus_used = buses_used
-        usage.latch_slots["writeback"] = buses_used * self._writeback_depth
 
         # -- commit ------------------------------------------------------
         committed = 0
-        if window:
+        if window and o_done[window[0]]:
+            o_flags = self._flags
+            o_mem = self._mem
+            o_com = self._com
+            o_dest = self._dest
+            rp = self._rp
             commit_width = self._commit_width
             commit_counts = stats.commit_class_counts
             store_map = self._store_map
@@ -502,18 +557,36 @@ class ArrayPipeline:
         usage.committed = committed
 
         # -- issue (wakeup / select) ------------------------------------
-        pending = self._pending_issue
+        gens = self._gen
+        wake_ring = self._wake_ring
+        cands = self._cands
+        woken = wake_ring[cidx]
+        o_icyc = self._icyc
+        if woken:
+            before = len(cands)
+            for s, gen in woken:
+                if gens[s] == gen and o_icyc[s] < 0 and not o_sq[s]:
+                    cands.append(s)
+            woken.clear()
+            if len(cands) > before and len(cands) > 1:
+                cands.sort(key=self._dseq.__getitem__)
         issued = 0
-        if pending:
+        if cands:
             width = cons.issue_width
             if self._issue_width_cfg < width:
                 width = self._issue_width_cfg
             i2e = self._issue_to_execute
             i2m = self._issue_to_mem
-            fu_busy = self._fu_busy
-            fu_len = self._fu_len
-            fu_dis = self._fu_dis
-            sequential = self._sequential
+            o_flags = self._flags
+            o_cls = self._cls
+            o_dest = self._dest
+            o_ready = self._ready
+            o_unres = self._unres
+            o_cons = self._cons_ready
+            o_wait = self._wait
+            o_mem = self._mem
+            o_seq = self._seq
+            o_com = self._com
             act_rings = self._act_rings
             bus_ring = self._bus_ring
             other_ring = self._other_ring
@@ -522,133 +595,152 @@ class ArrayPipeline:
             pstore_ring = self._pstore_ring
             store_map = self._store_map
             keep: Optional[List[int]] = None
-            for i, s in enumerate(pending):
+            for i, s in enumerate(cands):
                 if issued >= width:
                     if keep is not None:
-                        keep.extend(pending[i:])
+                        keep.extend(cands[i:])
                     break
                 ok = False
-                if o_icyc[s] < 0 and o_unres[s] == 0 and o_ready[s] <= c:
-                    flags = o_flags[s]
-                    cls = self._cls[s]
-                    if not flags & _F_MEM:
-                        # execution / branch / nop issue
-                        latency = _LATENCY[cls]
-                        ex_start = c + i2e
-                        fu = _FU_OF[cls]
-                        unit = self._allocate(fu, cls, ex_start)
-                        if unit >= 0:
-                            ring = act_rings[fu]
-                            bit = 1 << unit
-                            for cc in range(ex_start, ex_start + latency):
-                                ring[cc & cmask] |= bit
-                            grants.append((_FU_MEMBERS[fu], unit, latency))
-                            o_icyc[s] = c
-                            consumer_ready = c + latency
-                            o_cons[s] = consumer_ready
-                            waiters = o_wait[s]
-                            if waiters:
-                                for w in waiters:
-                                    o_unres[w] -= 1
-                                    if consumer_ready > o_ready[w]:
-                                        o_ready[w] = consumer_ready
-                                waiters.clear()
-                            complete = (c + 1 + latency) & cmask
-                            if o_dest[s] >= 0:
-                                bus_ring[complete].append(s)
-                            else:
-                                other_ring[complete].append(s)
-                            if flags & _F_BRANCH:
-                                self._resq[s] = 1
-                                self._resolve_ring[
-                                    ex_start & cmask].append(s)
-                            if flags & _F_FP:
-                                usage.issued_fp += 1
-                            ok = True
-                    elif flags & _F_LOAD:
-                        addr = o_mem[s]
-                        st = store_map.get(addr)
-                        forwarding = -1
-                        blocked = False
-                        if (st is not None and o_seq[st] < o_seq[s]
-                                and not o_com[st]):
-                            if o_icyc[st] < 0:
-                                blocked = True  # older store not issued
-                            else:
-                                forwarding = st
-                        if not blocked:
-                            midx = (c + i2m) & cmask
-                            loads_now = pload_ring[midx]
-                            if (loads_now + pstore_ring[midx]
-                                    < cons.dcache_ports):
-                                unit = self._allocate(
-                                    _MEM_PORT, cls, c + i2m)
-                                if unit >= 0:
-                                    pload_ring[midx] = loads_now + 1
-                                    self._last_mem_addr = addr
-                                    raw = self.hierarchy.load(addr)
-                                    if forwarding >= 0:
-                                        data_ready = o_icyc[forwarding] + i2e
-                                        ready = c + 1 + self._l1d_hit_latency
-                                        if data_ready + 1 > ready:
-                                            ready = data_ready + 1
-                                        stats.forwarded_loads += 1
-                                    else:
-                                        ready = c + 1 + raw
-                                    o_icyc[s] = c
-                                    o_cons[s] = ready
-                                    waiters = o_wait[s]
-                                    if waiters:
-                                        for w in waiters:
-                                            o_unres[w] -= 1
-                                            if ready > o_ready[w]:
-                                                o_ready[w] = ready
-                                        waiters.clear()
-                                    bus_ring[
-                                        (ready + 1) & cmask].append(s)
-                                    usage.issued_loads += 1
-                                    stats.loads += 1
-                                    ok = True
-                    else:
-                        # store: address/data generation, access at commit
-                        unit = self._allocate(_MEM_PORT, cls, c + i2m)
-                        if unit >= 0:
-                            o_icyc[s] = c
-                            consumer_ready = c + 1
-                            o_cons[s] = consumer_ready
-                            waiters = o_wait[s]
-                            if waiters:
-                                for w in waiters:
-                                    o_unres[w] -= 1
-                                    if consumer_ready > o_ready[w]:
-                                        o_ready[w] = consumer_ready
-                                waiters.clear()
-                            other_ring[(c + i2e) & cmask].append(s)
-                            usage.issued_stores += 1
-                            ok = True
+                flags = o_flags[s]
+                cls = o_cls[s]
+                if not flags & _F_MEM:
+                    # execution / branch / nop issue
+                    latency = _LATENCY[cls]
+                    ex_start = c + i2e
+                    fu = _FU_OF[cls]
+                    unit = self._allocate(fu, cls, ex_start)
+                    if unit >= 0:
+                        ring = act_rings[fu]
+                        bit = 1 << unit
+                        ex_end = ex_start + latency
+                        for cc in range(ex_start, ex_end):
+                            ring[cc & cmask] |= bit
+                        if ex_end > self._act_until:
+                            self._act_until = ex_end
+                        grants.append((_FU_MEMBERS[fu], unit, latency))
+                        o_icyc[s] = c
+                        consumer_ready = c + latency
+                        o_cons[s] = consumer_ready
+                        waiters = o_wait[s]
+                        if waiters:
+                            for w in waiters:
+                                if consumer_ready > o_ready[w]:
+                                    o_ready[w] = consumer_ready
+                                o_unres[w] -= 1
+                                if not o_unres[w]:
+                                    wake_ring[o_ready[w] & cmask].append(
+                                        (w, gens[w]))
+                            waiters.clear()
+                        complete = (c + 1 + latency) & cmask
+                        if o_dest[s] >= 0:
+                            bus_ring[complete].append(s)
+                        else:
+                            other_ring[complete].append(s)
+                        if flags & _F_BRANCH:
+                            self._resq[s] = 1
+                            self._resolve_ring[ex_start & cmask].append(s)
+                        if flags & _F_FP:
+                            usage.issued_fp += 1
+                        ok = True
+                elif flags & _F_LOAD:
+                    addr = o_mem[s]
+                    st = store_map.get(addr)
+                    forwarding = -1
+                    blocked = False
+                    if (st is not None and o_seq[st] < o_seq[s]
+                            and not o_com[st]):
+                        if o_icyc[st] < 0:
+                            blocked = True  # older store not issued
+                        else:
+                            forwarding = st
+                    if not blocked:
+                        midx = (c + i2m) & cmask
+                        loads_now = pload_ring[midx]
+                        if loads_now + pstore_ring[midx] < cons.dcache_ports:
+                            unit = self._allocate(_MEM_PORT, cls, c + i2m)
+                            if unit >= 0:
+                                pload_ring[midx] = loads_now + 1
+                                self._last_mem_addr = addr
+                                raw = self.hierarchy.load(addr)
+                                if forwarding >= 0:
+                                    data_ready = o_icyc[forwarding] + i2e
+                                    ready = c + 1 + self._l1d_hit_latency
+                                    if data_ready + 1 > ready:
+                                        ready = data_ready + 1
+                                    stats.forwarded_loads += 1
+                                else:
+                                    ready = c + 1 + raw
+                                o_icyc[s] = c
+                                o_cons[s] = ready
+                                waiters = o_wait[s]
+                                if waiters:
+                                    for w in waiters:
+                                        if ready > o_ready[w]:
+                                            o_ready[w] = ready
+                                        o_unres[w] -= 1
+                                        if not o_unres[w]:
+                                            wake_ring[
+                                                o_ready[w] & cmask].append(
+                                                    (w, gens[w]))
+                                    waiters.clear()
+                                bus_ring[(ready + 1) & cmask].append(s)
+                                usage.issued_loads += 1
+                                stats.loads += 1
+                                ok = True
+                else:
+                    # store: address/data generation, access at commit
+                    unit = self._allocate(_MEM_PORT, cls, c + i2m)
+                    if unit >= 0:
+                        o_icyc[s] = c
+                        consumer_ready = c + 1
+                        o_cons[s] = consumer_ready
+                        waiters = o_wait[s]
+                        if waiters:
+                            for w in waiters:
+                                if consumer_ready > o_ready[w]:
+                                    o_ready[w] = consumer_ready
+                                o_unres[w] -= 1
+                                if not o_unres[w]:
+                                    wake_ring[o_ready[w] & cmask].append(
+                                        (w, gens[w]))
+                            waiters.clear()
+                        other_ring[(c + i2e) & cmask].append(s)
+                        usage.issued_stores += 1
+                        ok = True
                 if ok:
                     issued += 1
                     if keep is None:
-                        keep = pending[:i]
+                        keep = cands[:i]
                 elif keep is not None:
                     keep.append(s)
             if keep is not None:
-                self._pending_issue = keep
+                self._cands = keep
         usage.issued = issued
 
         # -- dispatch (rename -> window) --------------------------------
         dispatched = 0
         frontend = self._frontend
-        if frontend:
+        window_size = self._window_size
+        if frontend and frontend[0][1] <= c and len(window) < window_size:
             width = self._decode_width
             if cons.rename_width < width:
                 width = cons.rename_width
-            window_size = self._window_size
             lsq_size = self._lsq_size
-            pending = self._pending_issue
             free = self._free
             o_cls = self._cls
-            gens = self._gen
+            o_flags = self._flags
+            o_seq = self._seq
+            o_dest = self._dest
+            o_ready = self._ready
+            o_unres = self._unres
+            o_cons = self._cons_ready
+            o_com = self._com
+            o_wp = self._wp
+            o_wait = self._wait
+            o_mem = self._mem
+            rp = self._rp
+            o_dseq = self._dseq
+            dispatch_count = self._dispatch_count
             next_ready = c + 1
             while (frontend and dispatched < width
                    and len(window) < window_size):
@@ -705,6 +797,8 @@ class ArrayPipeline:
                         else:
                             o_unres[s] += 1
                             o_wait[p].append(s)
+                if not o_unres[s]:
+                    wake_ring[o_ready[s] & cmask].append((s, gens[s]))
                 if dest is not None:
                     rp[dest] = s
                 if is_mem:
@@ -714,8 +808,10 @@ class ArrayPipeline:
                     if flags & _F_STORE:
                         self._store_map[addr] = s
                 window.append(s)
-                pending.append(s)
+                o_dseq[s] = dispatch_count
+                dispatch_count += 1
                 dispatched += 1
+            self._dispatch_count = dispatch_count
         usage.dispatched = dispatched
         usage.renamed = dispatched
 
@@ -726,6 +822,8 @@ class ArrayPipeline:
                 self._fetch_wrong_path(c, usage)
             else:
                 usage.fetch_stalled = True
+        elif len(frontend) >= self._frontend_cap:
+            usage.fetch_stalled = True      # front-end buffer full
         else:
             fetched = 0
             line_bytes = self._line_bytes
@@ -800,34 +898,49 @@ class ArrayPipeline:
         ex = self._ex_sum = self._ex_sum + b - d
         mem = self._mem_sum = self._mem_sum + d - e
         ring[c & im] = issued
-        latch_slots = usage.latch_slots
-        latch_slots["regread"] = rf
-        latch_slots["execute"] = ex
-        latch_slots["mem"] = mem
-        latch_slots["rename"] = dispatched * self._rename_depth
+        usage.latch_slots = {
+            "writeback": buses_used * self._writeback_depth,
+            "regread": rf,
+            "execute": ex,
+            "mem": mem,
+            "rename": dispatched * self._rename_depth,
+        }
 
-        fu_active = usage.fu_active
-        fu_counts = self._fu_counts_buf
-        row_i = 0
-        for fu_cls, fu_idx, act_ring, table, capacity in self._exec_rows:
-            bits = act_ring[cidx]
-            if bits:
-                act_ring[cidx] = 0
-            fu_active[fu_cls] = table[bits]
-            fu_counts[row_i] = (fu_cls, bits.bit_count(), capacity)
-            row_i += 1
-        usage.dcache_load_ports = self._pload_ring[cidx]
+        if c < self._act_until:
+            fu_active = usage.fu_active
+            t_active = self._t_active
+            row_i = 0
+            for fu_cls, act_ring, table in self._exec_rows:
+                bits = act_ring[cidx]
+                if bits:
+                    act_ring[cidx] = 0
+                    t_active[row_i] += bits.bit_count()
+                fu_active[fu_cls] = table[bits]
+                row_i += 1
+        else:
+            # no grant reaches this cycle: every unit is idle
+            usage.fu_active = self._idle_fu_active.copy()
+        loads = usage.dcache_load_ports = self._pload_ring[cidx]
         self._pload_ring[cidx] = 0
-        usage.dcache_store_ports = self._pstore_ring[cidx]
+        stores = usage.dcache_store_ports = self._pstore_ring[cidx]
         self._pstore_ring[cidx] = 0
         usage.window_occupancy = len(window)
         usage.lsq_occupancy = self._lsq_count
         stats.cycles = c + 1
 
+        # running sums behind self.totals
+        self._t_issued += issued
+        self._t_ports += loads + stores
+        self._t_buses += buses_used
+        self._t_rf += rf
+        self._t_ex += ex
+        self._t_mem += mem
+        if usage.fetch_stalled:
+            self._t_stalls += 1
+
         decision = policy.observe(usage)
         for observer in self.observers:
             observer(usage, decision)
-        self.totals.add(usage, fu_counts)
         self.cycle = c + 1
 
     # ------------------------------------------------------------------
@@ -882,9 +995,9 @@ class ArrayPipeline:
             if self._flags[s] & _F_MEM:
                 self._lsq_count -= 1
             popped.append(s)
-        pending = self._pending_issue
-        if pending and any(o_sq[s] for s in pending):
-            self._pending_issue = [s for s in pending if not o_sq[s]]
+        cands = self._cands
+        if cands and any(o_sq[s] for s in cands):
+            self._cands = [s for s in cands if not o_sq[s]]
         checkpoint = self._checkpoint
         if checkpoint is not None:
             chk_slot, chk_gen, saved_rp, saved_gen = checkpoint

@@ -6,8 +6,10 @@ which blocks were (or could have been) clock-gated; the accountant
 converts usage + gate decisions into energy.
 
 Both records live on the simulator's per-cycle hot path — one
-:class:`CycleUsage` is allocated and one :meth:`UsageTotals.add` runs
-every simulated cycle — so they are plain ``__slots__`` classes rather
+:class:`CycleUsage` is allocated every simulated cycle, and the object
+core runs one :meth:`UsageTotals.add` per cycle (the array core keeps
+its own integer sums and writes them into a :class:`UsageTotals` at
+the end of a run) — so they are plain ``__slots__`` classes rather
 than dataclasses: slot attribute access is what the cycle loop, the
 policies, and the accountant spend their time on.
 """
@@ -15,7 +17,7 @@ policies, and the accountant spend their time on.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..trace.uop import FUClass
 
@@ -113,34 +115,19 @@ class UsageTotals:
         self.result_bus_cycles = 0
         self.fetch_stall_cycles = 0
 
-    def add(self, usage: CycleUsage,
-            fu_counts: Optional[List[Tuple[FUClass, int, int]]] = None
-            ) -> None:
-        """Fold one cycle into the running sums.
-
-        ``fu_counts`` is an optional list of ``(fu_class, active,
-        capacity)`` rows matching ``usage.fu_active`` exactly — the
-        array core passes it because it already knows the per-class
-        popcounts, saving this hot path from re-summing bool tuples.
-        """
+    def add(self, usage: CycleUsage) -> None:
+        """Fold one cycle into the running sums."""
         self.cycles += 1
         self.issued += usage.issued
         self.committed += usage.committed
         self.fetched += usage.fetched
         active_cycles = self.fu_active_cycles
         capacity_cycles = self.fu_capacity_cycles
-        if fu_counts is None:
-            for fu_class, mask in usage.fu_active.items():
-                active_cycles[fu_class] = (
-                    active_cycles.get(fu_class, 0) + sum(mask))
-                capacity_cycles[fu_class] = (
-                    capacity_cycles.get(fu_class, 0) + len(mask))
-        else:
-            for fu_class, active, capacity in fu_counts:
-                active_cycles[fu_class] = (
-                    active_cycles.get(fu_class, 0) + active)
-                capacity_cycles[fu_class] = (
-                    capacity_cycles.get(fu_class, 0) + capacity)
+        for fu_class, mask in usage.fu_active.items():
+            active_cycles[fu_class] = (
+                active_cycles.get(fu_class, 0) + sum(mask))
+            capacity_cycles[fu_class] = (
+                capacity_cycles.get(fu_class, 0) + len(mask))
         slot_cycles = self.latch_slot_cycles
         for stage, slots in usage.latch_slots.items():
             slot_cycles[stage] = slot_cycles.get(stage, 0) + slots

@@ -48,7 +48,7 @@ from .client import (DEADLINE_HEADER, BackpressureError, JobFailed,
                      ServiceClient, ServiceClosed, ServiceError,
                      ServiceTimeout)
 from .hashring import HashRing
-from .jobs import make_spec, spec_fingerprint
+from .jobs import batch_requests, make_spec, spec_fingerprint
 
 __all__ = ["Gateway", "GatewayServer", "DEFAULT_GATEWAY_PORT",
            "serve_gateway"]
@@ -387,12 +387,10 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                 self._send(404, {"error": f"no such endpoint: {self.path}"})
                 return
             try:
-                data = self._read_json()
+                requests = batch_requests(self._read_json())
             except ValueError as exc:
                 self._send(400, {"error": str(exc)})
                 return
-            requests: List[Dict[str, Any]] = (
-                data["runs"] if "runs" in data else [data])
             try:
                 with span("gateway.submit", runs=len(requests)):
                     jobs = gateway.submit_runs(

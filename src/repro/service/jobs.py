@@ -42,7 +42,8 @@ from ..workloads.profiles import get_profile
 from .persist import PendingJob, QueueJournal
 
 __all__ = ["Job", "JobQueue", "JobState", "QueueClosed", "QueueFull",
-           "make_spec", "spec_fingerprint", "validate_spec"]
+           "batch_requests", "make_spec", "spec_fingerprint",
+           "validate_spec"]
 
 
 class QueueFull(RuntimeError):
@@ -67,6 +68,24 @@ class JobState(enum.Enum):
 
 
 # -- spec plumbing ----------------------------------------------------------
+
+def batch_requests(data: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """The run requests in a ``POST /v1/runs`` body.
+
+    The body is either ``{"runs": [...]}`` or one bare run object.
+    Raises ``ValueError`` (answered as a 400) unless ``runs`` is a list
+    of JSON objects.
+    """
+    if "runs" not in data:
+        return [data]
+    runs = data["runs"]
+    if not isinstance(runs, list):
+        raise ValueError("'runs' must be a list of run objects")
+    for index, fields in enumerate(runs):
+        if not isinstance(fields, dict):
+            raise ValueError(f"runs[{index}] must be a JSON object")
+    return runs
+
 
 def make_spec(benchmark: str, policy: str = "dcg", tag: str = "baseline",
               instructions: Optional[int] = None,

@@ -47,7 +47,8 @@ from ..sim.cache import ResultCache, result_to_dict
 from ..sim.checkpoint import CHECKPOINT_DIR_ENV_VAR
 from ..sim.runner import ExperimentRunner
 from .client import DEADLINE_HEADER
-from .jobs import Job, JobQueue, QueueClosed, QueueFull, make_spec
+from .jobs import (Job, JobQueue, QueueClosed, QueueFull, batch_requests,
+                   make_spec)
 from .persist import (QUEUE_JOURNAL_FILENAME, STATE_DIR_ENV_VAR,
                       QueueJournal)
 from .workers import WorkerPool
@@ -326,12 +327,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(404, {"error": f"no such endpoint: {self.path}"})
             return
         try:
-            data = self._read_json()
+            requests = batch_requests(self._read_json())
         except ValueError as exc:
             self._send(400, {"error": str(exc)})
             return
-        requests: List[Dict[str, Any]] = (
-            data["runs"] if "runs" in data else [data])
         deadline_at = self._deadline_at()
         jobs: List[Tuple[Job, bool]] = []
         try:

@@ -357,7 +357,7 @@ class WorkerPool:
     def _resolve(self, job: Job) -> None:
         spec = job.spec
         with self._runner_lock:
-            cached = self.runner.cached(spec.benchmark, spec.policy, spec.tag)
+            cached = self.runner.cached_spec(spec)
         if cached is not None:
             result, source = cached
             self._cache_hits.labels(layer=source).inc()

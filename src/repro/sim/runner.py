@@ -90,6 +90,9 @@ class ExperimentRunner:
         self.sample = sample
         self._simulators: Dict[str, Simulator] = {}
         self._cache: Dict[Tuple[str, str, str], SimulationResult] = {}
+        #: exact-spec memory for cached_spec/memoise_spec, keyed by the
+        #: disk cache's fingerprint (budget, seed and sample included)
+        self._by_fingerprint: Dict[str, SimulationResult] = {}
 
     # -- configurations ---------------------------------------------------
 
@@ -136,33 +139,56 @@ class ExperimentRunner:
 
     def cached(self, benchmark: str, policy: str, tag: str = "baseline"
                ) -> Optional[Tuple[SimulationResult, str]]:
-        """Memory-then-disk lookup without simulating.
+        """Memory-then-disk lookup of this runner's own spec for the
+        cell, without simulating.
 
         Returns ``(result, source)`` with source ``"memory"`` or
         ``"disk"`` (disk hits are promoted into memory), or None on a
-        full miss.  This is the cache half of :meth:`run`, split out so
-        the service's worker pool can walk the same resolution path.
+        full miss.  This is the cache half of :meth:`run`.
         """
         key = (tag, benchmark, policy)
-        journal = get_journal()
         if key in self._cache:
-            if journal.enabled:
+            if get_journal().enabled:
                 self._emit_cache("cache.hit", self._spec(benchmark, policy,
                                                          tag), "memory")
             return self._cache[key], "memory"
-        spec = self._spec(benchmark, policy, tag)
-        disk = self.cache.get(self._fingerprint(spec))
+        hit = self.cached_spec(self._spec(benchmark, policy, tag))
+        if hit is not None:
+            self._cache[key] = hit[0]
+        return hit
+
+    def cached_spec(self, spec: RunSpec
+                    ) -> Optional[Tuple[SimulationResult, str]]:
+        """Memory-then-disk lookup of exactly ``spec``, whatever its
+        budget, seed or sample plan.
+
+        Both layers are keyed by the spec's fingerprint, so the
+        service's worker pool — which serves specs of any budget —
+        never answers one request with another's result.
+        """
+        digest = self._fingerprint(spec)
+        result = self._by_fingerprint.get(digest)
+        if result is not None:
+            if get_journal().enabled:
+                self._emit_cache("cache.hit", spec, "memory")
+            return result, "memory"
+        disk = self.cache.get(digest)
         if disk is not None:
-            self._cache[key] = disk
+            self._by_fingerprint[digest] = disk
             self._emit_cache("cache.hit", spec, "disk")
             return disk, "disk"
         self._emit_cache("cache.miss", spec)
         return None
 
     def memoise_spec(self, spec: RunSpec, result: SimulationResult) -> None:
-        """Record an externally computed result in memory and on disk."""
-        key = (spec.tag, spec.benchmark, spec.policy)
-        self._memoise(key, spec, result, persist=True)
+        """Record an externally computed result in memory and on disk,
+        under the spec's fingerprint (see :meth:`cached_spec`)."""
+        digest = self._fingerprint(spec)
+        self._by_fingerprint[digest] = result
+        self.cache.put(digest, result)
+        if spec == self._spec(spec.benchmark, spec.policy, spec.tag):
+            # also this runner's own cell, as run()/cached() key it
+            self._cache[(spec.tag, spec.benchmark, spec.policy)] = result
 
     def _execute(self, specs: Sequence[RunSpec],
                  jobs: int) -> List[SimulationResult]:

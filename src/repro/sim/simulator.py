@@ -43,8 +43,8 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 def resolve_backend(backend: Optional[str] = None) -> str:
     """Pick the cycle-core backend: explicit argument, then the
-    ``REPRO_BACKEND`` environment variable, then ``object``."""
-    name = backend or os.environ.get(BACKEND_ENV_VAR) or "object"
+    ``REPRO_BACKEND`` environment variable, then ``array``."""
+    name = backend or os.environ.get(BACKEND_ENV_VAR) or "array"
     if name not in BACKENDS:
         raise ValueError(
             f"unknown backend {name!r}; expected one of {BACKENDS}")
@@ -158,9 +158,11 @@ class Simulator:
     calibration:
         Power-model calibration; Wattch-era defaults.
     backend:
-        Cycle-core implementation: ``object`` (InflightOp records) or
-        ``array`` (struct-of-arrays, same results, faster).  ``None``
-        defers to the ``REPRO_BACKEND`` environment variable.
+        Cycle-core implementation: ``array`` (struct-of-arrays with an
+        event-driven issue stage; the default) or ``object``
+        (``InflightOp`` records; same results, slower, and the core
+        pipetrace capture needs).  ``None`` defers to the
+        ``REPRO_BACKEND`` environment variable, then ``array``.
     """
 
     def __init__(self, config: Optional[MachineConfig] = None,

@@ -1,7 +1,10 @@
 """Gateway routing: the hash ring, shard federation over real HTTP,
 failover, and the order-preserving backpressure contract."""
 
+import json
 import threading
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -91,6 +94,19 @@ def test_routing_matches_the_ring_and_results_roundtrip(fleet):
     status = client.status(jobs[0]["id"])
     assert status["state"] == "done"
     assert status["shard"] == jobs[0]["shard"]
+
+
+@pytest.mark.parametrize("body", [{"runs": 5}, {"runs": ["x"]}],
+                         ids=["runs-not-a-list", "run-not-an-object"])
+def test_malformed_batch_is_a_json_400(fleet, body):
+    request = urllib.request.Request(
+        fleet.url + "/v1/runs", data=json.dumps(body).encode("utf-8"),
+        headers={"Content-Type": "application/json"}, method="POST")
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=30)
+    assert excinfo.value.code == 400
+    assert "runs" in json.loads(excinfo.value.read())["error"]
+    assert fleet.simulated() == [0, 0]
 
 
 def test_unknown_job_is_a_404(fleet):

@@ -1,14 +1,19 @@
 """End-to-end service tests over real HTTP on an ephemeral port."""
 
+import json
+import re
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
 from repro.service import (BackpressureError, JobFailed, ServiceClient,
                            ServiceError, ServiceServer, SimulationService)
 from repro.service.workers import ShutdownRequested
-from repro.sim import ExperimentRunner, ResultCache
+from repro.sim import ExperimentRunner, ResultCache, Simulator
+from repro.sim.cache import result_to_dict
 
 INSTRUCTIONS = 400
 
@@ -129,6 +134,46 @@ def test_bad_requests_are_400(service_url):
     with pytest.raises(ServiceError, match="no such job") as excinfo:
         client.status("feedfacecafe")
     assert excinfo.value.status == 404
+
+
+def _post_raw(url, body):
+    """POST ``body`` (any JSON value) to /v1/runs; (status, payload)."""
+    request = urllib.request.Request(
+        url + "/v1/runs", data=json.dumps(body).encode("utf-8"),
+        headers={"Content-Type": "application/json"}, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
+
+
+@pytest.mark.parametrize("body, message", [
+    ({"runs": 5}, "must be a list"),
+    ({"runs": ["x"]}, r"runs\[0\] must be a JSON object"),
+], ids=["runs-not-a-list", "run-not-an-object"])
+def test_malformed_batch_is_a_json_400(service_url, body, message):
+    url, service = service_url
+    status, payload = _post_raw(url, body)
+    assert status == 400
+    assert re.search(message, payload["error"])
+    assert service.queue.depth == 0
+    # the connection survived: the server still answers
+    assert ServiceClient(url).healthz()["status"] == "ok"
+
+
+def test_results_are_keyed_by_the_full_spec(service_url):
+    """Requests differing only in budget or seed each get their own
+    result, even once the first has been memoised by the pool."""
+    url, _service = service_url
+    client = ServiceClient(url)
+    simulator = Simulator()
+    for fields in ({"instructions": 1000}, {"instructions": 4000},
+                   {"instructions": 1000, "seed": 5}):
+        job = client.submit_one(benchmark="gzip", policy="dcg", **fields)
+        served = client.result(job["id"], timeout=120)
+        expected = simulator.run_benchmark("gzip", "dcg", **fields)
+        assert result_to_dict(served) == result_to_dict(expected)
 
 
 def test_backpressure_over_http(tmp_path):

@@ -85,13 +85,13 @@ def test_seed_changes_trace(sim):
 def test_backend_resolution(monkeypatch):
     from repro.sim.simulator import BACKEND_ENV_VAR, resolve_backend
     monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    assert resolve_backend() == "object"
-    assert resolve_backend("array") == "array"
-    monkeypatch.setenv(BACKEND_ENV_VAR, "array")
     assert resolve_backend() == "array"
-    # an explicit argument beats the environment
     assert resolve_backend("object") == "object"
-    assert Simulator().backend == "array"
+    monkeypatch.setenv(BACKEND_ENV_VAR, "object")
+    assert resolve_backend() == "object"
+    # an explicit argument beats the environment
+    assert resolve_backend("array") == "array"
+    assert Simulator().backend == "object"
     with pytest.raises(ValueError, match="unknown backend"):
         resolve_backend("vector")
     monkeypatch.setenv(BACKEND_ENV_VAR, "bogus")
