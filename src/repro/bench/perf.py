@@ -1,6 +1,6 @@
 """Perf-regression harness for the cycle simulator.
 
-Times the per-cycle hot path (``Pipeline._step`` and everything it
+Times the per-cycle hot path (the cycle core's step and everything it
 calls) end to end through the public :class:`~repro.sim.simulator`
 facade, on a pinned set of (benchmark, policy) cases chosen to cover
 the three hot-path regimes: no gating (``base``), DCG's per-cycle grant
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..pipeline.config import MachineConfig
-from ..sim.simulator import Simulator
+from ..sim.simulator import Simulator, resolve_backend
 
 __all__ = ["BenchCase", "DEFAULT_CASES", "SCHEMA_VERSION", "run_bench",
            "profile_case", "validate_report", "write_report"]
@@ -85,8 +85,7 @@ def _run_case(sim: Simulator, case: BenchCase, instructions: int):
         from ..sim.sampling import SampledRun
         return SampledRun(case.benchmark, case.policy, instructions,
                           case.sample, config=sim.config,
-                          calibration=sim.calibration,
-                          backend=sim.backend).run()
+                          calibration=sim.calibration).run()
     return sim.run_benchmark(case.benchmark, case.policy,
                              instructions=instructions)
 
@@ -131,16 +130,12 @@ def run_bench(instructions: int = DEFAULT_INSTRUCTIONS,
               tag: str = "local",
               config: Optional[MachineConfig] = None,
               progress=None,
-              backend: Optional[str] = None,
               repeats: int = 1) -> Dict[str, object]:
     """Time every case and return the report dict.
 
     ``progress``, when given, is called with each finished case record
-    (the CLI uses it for per-case stderr lines).  ``backend`` selects
-    the cycle-core implementation (``object``/``array``; defaults to
-    the ``REPRO_BACKEND`` environment variable) and is recorded in the
-    report.  ``repeats`` times each case that many times and keeps the
-    fastest run.
+    (the CLI uses it for per-case stderr lines).  ``repeats`` times
+    each case that many times and keeps the fastest run.
     """
     if instructions <= 0:
         raise ValueError("instructions must be positive")
@@ -148,7 +143,7 @@ def run_bench(instructions: int = DEFAULT_INSTRUCTIONS,
         raise ValueError("at least one bench case is required")
     if repeats <= 0:
         raise ValueError("repeats must be positive")
-    sim = Simulator(config, backend=backend)
+    sim = Simulator(config)
     results: List[Dict[str, object]] = []
     for case in cases:
         record = _time_case(sim, case, instructions, repeats)
@@ -163,7 +158,8 @@ def run_bench(instructions: int = DEFAULT_INSTRUCTIONS,
         "created_unix": time.time(),
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "backend": sim.backend,
+        # one production core now; kept so older reports compare
+        "backend": resolve_backend(),
         "repeats": repeats,
         "instructions_per_case": instructions,
         "results": results,

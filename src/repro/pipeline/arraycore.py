@@ -1,4 +1,4 @@
-"""Struct-of-arrays cycle core (the default ``array`` backend).
+"""Struct-of-arrays cycle core: the one every production run steps.
 
 This is the same machine as :class:`repro.pipeline.core.Pipeline` —
 same fetch/dispatch/issue/complete/commit algorithm, same policy and
@@ -347,7 +347,7 @@ class ArrayPipeline:
     def capture_ops(self, limit: int) -> None:
         raise NotImplementedError(
             "pipetrace capture needs InflightOp records; use the object "
-            "backend (repro.pipeline.core.Pipeline)")
+            "core (repro.pipeline.core.Pipeline)")
 
     # ------------------------------------------------------------------
     # top-level loop

@@ -16,6 +16,11 @@ Relative timing matches the paper's DCG discussion:
 Each simulated cycle produces a :class:`~repro.pipeline.usage.CycleUsage`
 that is handed to the gating policy and any registered observers (the
 power accountant).
+
+This object core is the reference implementation.  Production runs
+step :class:`~repro.pipeline.arraycore.ArrayPipeline`; the equivalence
+tests pin that core against this one, and pipetrace capture (which
+needs real ``InflightOp`` records) runs here.
 """
 
 from __future__ import annotations

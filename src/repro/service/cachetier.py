@@ -41,13 +41,14 @@ import time
 import urllib.error
 import urllib.request
 from collections import OrderedDict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Any, Dict, Optional
 
 from ..faults import should_inject
 from ..obs.events import get_journal
 from ..sim.cache import ResultCache, result_from_dict, result_to_dict
 from ..sim.simulator import SimulationResult
+from .handler import JSONHandler
 
 __all__ = ["CacheTierClient", "CacheTierServer", "CacheTierService",
            "DEFAULT_CACHE_TIER_PORT", "serve_cache_tier"]
@@ -104,21 +105,8 @@ class CacheTierService:
         }
 
 
-class _TierHandler(BaseHTTPRequestHandler):
+class _TierHandler(JSONHandler):
     server: "CacheTierServer"
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if self.server.verbose:
-            super().log_message(format, *args)
-
-    def _send(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         tier = self.server.tier
@@ -143,13 +131,8 @@ class _TierHandler(BaseHTTPRequestHandler):
         if match is None:
             self._send(404, {"error": f"no such endpoint: {self.path}"})
             return
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
         try:
-            data = json.loads(raw.decode("utf-8"))
-            if not isinstance(data, dict):
-                raise ValueError("body must be a JSON object")
-            self.server.tier.store(match.group("key"), data)
+            self.server.tier.store(match.group("key"), self._read_json())
         except ValueError as exc:
             self._send(400, {"error": str(exc)})
             return

@@ -32,12 +32,11 @@ Routing and failure semantics:
 
 from __future__ import annotations
 
-import json
 import re
 import threading
 import time
 from collections import OrderedDict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlparse
 
@@ -47,6 +46,7 @@ from ..power.budget import PowerCalibration
 from .client import (DEADLINE_HEADER, BackpressureError, JobFailed,
                      ServiceClient, ServiceClosed, ServiceError,
                      ServiceTimeout)
+from .handler import JSONHandler
 from .hashring import HashRing
 from .jobs import batch_requests, make_spec, spec_fingerprint
 
@@ -338,31 +338,8 @@ class Gateway:
         return dict(totals, status="draining", shards=shards)
 
 
-class _GatewayHandler(BaseHTTPRequestHandler):
+class _GatewayHandler(JSONHandler):
     server: "GatewayServer"
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if self.server.verbose:
-            super().log_message(format, *args)
-
-    def _send(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            raise ValueError("empty request body")
-        data = json.loads(raw.decode("utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError("request body must be a JSON object")
-        return data
 
     def _deadline_seconds(self) -> Optional[float]:
         raw = self.headers.get(DEADLINE_HEADER)

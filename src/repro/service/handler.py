@@ -1,0 +1,72 @@
+"""Shared JSON request plumbing for the service's HTTP tiers.
+
+The shard server, the gateway and the cache tier all speak JSON over
+``http.server``; :class:`JSONHandler` holds what they share — quiet
+logging unless the server is verbose, JSON and text responses, and a
+bounded request-body read.  A ``Content-Length`` that is not a
+non-negative integer is refused (``ValueError``, which every tier
+answers with a JSON 400) before any read, because ``rfile.read(-1)``
+would block the handler thread until the client hung up.
+"""
+
+from __future__ import annotations
+
+import json
+from http.server import BaseHTTPRequestHandler
+from typing import Any, Dict
+
+__all__ = ["JSONHandler"]
+
+
+class JSONHandler(BaseHTTPRequestHandler):
+    """Base handler: JSON in, JSON out, HTTP/1.1 keep-alive."""
+
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, format: str, *args) -> None:  # noqa: A002
+        if getattr(self.server, "verbose", False):
+            super().log_message(format, *args)
+
+    def _send_bytes(self, status: int, body: bytes,
+                    content_type: str) -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(body)
+
+    def _send(self, status: int, payload: Dict[str, Any]) -> None:
+        self._send_bytes(status, json.dumps(payload).encode("utf-8"),
+                         "application/json")
+
+    def _send_text(self, status: int, body: str,
+                   content_type: str = "text/plain; version=0.0.4") -> None:
+        self._send_bytes(status, body.encode("utf-8"), content_type)
+
+    def _read_body(self) -> bytes:
+        """The request body, sized by ``Content-Length`` (absent = 0).
+
+        A malformed length raises ``ValueError`` and marks the
+        connection for closing: the unread body cannot be skipped.
+        """
+        raw = self.headers.get("Content-Length")
+        try:
+            length = int(raw or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise ValueError(f"invalid Content-Length: {raw!r}")
+        return self.rfile.read(length) if length else b""
+
+    def _read_json(self) -> Dict[str, Any]:
+        """The request body as a JSON object; ValueError otherwise."""
+        raw = self._read_body()
+        if not raw:
+            raise ValueError("empty request body")
+        data = json.loads(raw.decode("utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError("request body must be a JSON object")
+        return data

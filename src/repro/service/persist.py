@@ -19,9 +19,11 @@ Design notes:
 * Replay tolerates torn/corrupt trailing lines (a crash mid-append is
   the expected case) by skipping them.
 * ``compact()`` rewrites the journal to just the outstanding set via
-  tmp-file + ``os.replace``, so the file stays proportional to the
-  backlog, not the server's lifetime throughput.  The queue triggers
-  it after :data:`COMPACT_EVERY` terminal records.
+  :func:`~repro.sim.atomicfile.atomic_write` (tmp-file +
+  ``os.replace``, sweeping orphans a killed compaction left), so the
+  file stays proportional to the backlog, not the server's lifetime
+  throughput.  The queue triggers it after :data:`COMPACT_EVERY`
+  terminal records.
 
 Deadlines are persisted as **wall-clock** instants
 (``deadline_wall``): the live queue works in ``time.monotonic()``
@@ -45,12 +47,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from ..sim.atomicfile import atomic_write
 from ..sim.parallel import RunSpec
 
 __all__ = ["COMPACT_EVERY", "PERSIST_VERSION", "PendingJob", "QueueJournal",
@@ -231,21 +233,19 @@ class QueueJournal:
 
     def compact(self, pending: List[PendingJob]) -> None:
         """Atomically rewrite the journal to just ``pending`` submits."""
-        parent = os.path.dirname(self.path) or "."
+        def write(handle) -> None:
+            for job in pending:
+                handle.write(json.dumps({
+                    "v": PERSIST_VERSION, "op": "submit",
+                    "id": job.id, "priority": job.priority,
+                    "trace_id": job.trace_id,
+                    "parent_span_id": job.parent_span_id,
+                    "deadline_wall": job.deadline_wall,
+                    "spec": job.spec_fields,
+                }, sort_keys=True, separators=(",", ":")) + "\n")
+
         try:
-            fd, tmp_path = tempfile.mkstemp(
-                prefix=".queue-", suffix=".tmp", dir=parent)
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                for job in pending:
-                    handle.write(json.dumps({
-                        "v": PERSIST_VERSION, "op": "submit",
-                        "id": job.id, "priority": job.priority,
-                        "trace_id": job.trace_id,
-                        "parent_span_id": job.parent_span_id,
-                        "deadline_wall": job.deadline_wall,
-                        "spec": job.spec_fields,
-                    }, sort_keys=True, separators=(",", ":")) + "\n")
-            os.replace(tmp_path, self.path)
+            atomic_write(self.path, write)
             with self._lock:
                 self._since_compact = 0
         except OSError:

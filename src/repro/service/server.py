@@ -29,12 +29,11 @@ starve status polls.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
@@ -47,6 +46,7 @@ from ..sim.cache import ResultCache, result_to_dict
 from ..sim.checkpoint import CHECKPOINT_DIR_ENV_VAR
 from ..sim.runner import ExperimentRunner
 from .client import DEADLINE_HEADER
+from .handler import JSONHandler
 from .jobs import (Job, JobQueue, QueueClosed, QueueFull, batch_requests,
                    make_spec)
 from .persist import (QUEUE_JOURNAL_FILENAME, STATE_DIR_ENV_VAR,
@@ -260,44 +260,10 @@ class SimulationService:
         return payload
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JSONHandler):
     """Routes the five endpoints onto the owning service."""
 
     server: "ServiceServer"
-    protocol_version = "HTTP/1.1"
-
-    # -- plumbing ---------------------------------------------------------
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if self.server.verbose:
-            super().log_message(format, *args)
-
-    def _send(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, status: int, body: str,
-                   content_type: str = "text/plain; version=0.0.4") -> None:
-        data = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _read_json(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            raise ValueError("empty request body")
-        data = json.loads(raw.decode("utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError("request body must be a JSON object")
-        return data
 
     # -- endpoints --------------------------------------------------------
 

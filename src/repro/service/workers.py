@@ -40,8 +40,7 @@ from ..sim.runner import ExperimentRunner
 from ..sim.simulator import SimulationResult
 from .jobs import Job, JobQueue
 
-__all__ = ["JobTimeout", "ShutdownRequested", "WorkerCrash", "WorkerPool",
-           "percentile"]
+__all__ = ["JobTimeout", "ShutdownRequested", "WorkerCrash", "WorkerPool"]
 
 
 class WorkerCrash(RuntimeError):
@@ -76,15 +75,6 @@ def _exit_message(child) -> str:
     if child.exitcode is None:
         return "worker exited with an unknown status"
     return f"worker exited with code {child.exitcode}"
-
-
-def percentile(values: List[float], q: float) -> float:
-    """Nearest-rank percentile (q in [0, 1]); 0.0 for an empty list."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[index]
 
 
 # -- subprocess compute (timeout + crash isolation) -------------------------

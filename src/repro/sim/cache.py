@@ -23,7 +23,6 @@ import enum
 import hashlib
 import json
 import os
-import time
 from collections import Counter
 from typing import Any, Dict, Optional
 
@@ -33,6 +32,7 @@ from ..pipeline.stats import SimStats
 from ..power.budget import PowerCalibration
 from ..trace.uop import FUClass, OpClass
 from ..workloads.profiles import BenchmarkProfile
+from .atomicfile import atomic_write
 from .simulator import SimulationResult
 
 __all__ = ["ResultCache", "fingerprint", "result_to_dict",
@@ -44,11 +44,6 @@ CACHE_ENV_VAR = "REPRO_CACHE_DIR"
 #: bump to invalidate every existing entry after a model change that
 #: alters simulation results without altering any config dataclass
 CACHE_VERSION = 1
-
-#: seconds after which an orphaned ``*.json.tmp.<pid>`` file (a writer
-#: killed between open and ``os.replace``) is considered abandoned; a
-#: live concurrent writer finishes in well under this
-STALE_TMP_SECONDS = 300.0
 
 
 # ---------------------------------------------------------------------------
@@ -267,53 +262,12 @@ class ResultCache:
         """Persist ``result`` under ``key`` (no-op when disabled)."""
         if not self.enabled:
             return
-        path = self._path(key)
-        tmp = f"{path}.tmp.{os.getpid()}"
         try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            self._sweep_stale_tmp(os.path.dirname(path), keep=tmp)
-            with open(tmp, "w") as handle:
-                json.dump(result_to_dict(result), handle)
-            os.replace(tmp, path)  # atomic, safe under parallel writers
+            atomic_write(self._path(key), lambda handle: json.dump(
+                result_to_dict(result), handle))
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
             return
         self.stores += 1
-
-    @staticmethod
-    def _sweep_stale_tmp(dirpath: str, keep: Optional[str] = None) -> int:
-        """Delete abandoned ``*.json.tmp.*`` files older than
-        :data:`STALE_TMP_SECONDS` in ``dirpath``; returns the count.
-
-        A writer killed between opening its temp file and the atomic
-        ``os.replace`` leaves the orphan behind forever; sweeping here
-        (on the next ``put`` into the same bucket) keeps the cache tree
-        from accumulating them.  Recent temp files belong to live
-        concurrent writers and are left alone, as is ``keep`` (the
-        caller's own temp path).
-        """
-        removed = 0
-        cutoff = time.time() - STALE_TMP_SECONDS
-        try:
-            names = os.listdir(dirpath)
-        except OSError:
-            return 0
-        for name in names:
-            if ".json.tmp." not in name:
-                continue
-            candidate = os.path.join(dirpath, name)
-            if candidate == keep:
-                continue
-            try:
-                if os.path.getmtime(candidate) < cutoff:
-                    os.unlink(candidate)
-                    removed += 1
-            except OSError:
-                pass                 # vanished or unreadable: not ours
-        return removed
 
     def clear(self) -> int:
         """Delete every entry *and* orphaned temp file; count removed.

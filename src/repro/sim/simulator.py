@@ -8,16 +8,16 @@ everything §5's figures are computed from.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple, Union
 
 from ..core.dcg import DCGPolicy
 from ..core.interface import GatingPolicy, NoGatingPolicy
 from ..core.plb import PLBPolicy
+from ..frontend.branch_predictor import BranchPredictor
+from ..memory.hierarchy import CacheHierarchy
 from ..pipeline.arraycore import ArrayPipeline
 from ..pipeline.config import MachineConfig
-from ..pipeline.core import Pipeline
 from ..pipeline.stats import SimStats
 from ..power.accounting import PowerAccountant
 from ..power.budget import BlockPowers, PowerCalibration
@@ -27,28 +27,19 @@ from ..workloads.profiles import BenchmarkProfile, get_profile
 from ..workloads.synthetic import SyntheticTraceGenerator
 from .configs import baseline_config, default_instructions
 
-__all__ = ["SimulationResult", "Simulator", "build_result", "make_policy",
-           "BUILTIN_POLICIES", "BACKENDS", "BACKEND_ENV_VAR",
-           "resolve_backend"]
-
-#: cycle-core implementations the facade can run; both are bit-identical
-#: (pinned by the golden invariance and cross-backend equivalence tests)
-BACKENDS = ("object", "array")
-
-#: environment override consulted when no explicit backend is passed —
-#: an env var (rather than, say, a config field) so worker processes
-#: spawned by the parallel runner and the service inherit it for free
-BACKEND_ENV_VAR = "REPRO_BACKEND"
+__all__ = ["SimulationResult", "Simulator", "assemble", "build_result",
+           "make_policy", "BUILTIN_POLICIES", "resolve_backend"]
 
 
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Pick the cycle-core backend: explicit argument, then the
-    ``REPRO_BACKEND`` environment variable, then ``array``."""
-    name = backend or os.environ.get(BACKEND_ENV_VAR) or "array"
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {name!r}; expected one of {BACKENDS}")
-    return name
+def resolve_backend() -> str:
+    """Name of the cycle core every run uses.
+
+    There is one production core; this stays because the repository
+    benchmark (``perfbench/layers.py``) reads it to pick the core it
+    replays traces through.
+    """
+    return "array"
+
 
 #: policy names :func:`make_policy` understands; these are reserved as
 #: cache keys and may not be rebound to custom policy factories
@@ -129,6 +120,31 @@ def build_result(name: str, policy_obj: GatingPolicy,
     return result
 
 
+def assemble(config: MachineConfig, stream: TraceStream,
+             policy: GatingPolicy, blocks: BlockPowers, *,
+             hierarchy: Optional[CacheHierarchy] = None,
+             predictor: Optional[BranchPredictor] = None,
+             prewarm_source: Optional[SyntheticTraceGenerator] = None
+             ) -> Tuple[ArrayPipeline, PowerAccountant]:
+    """Wire one run: the cycle core, its prewarm, and the §4.2 power
+    accountant observing every cycle.
+
+    :class:`Simulator`, :class:`~repro.sim.checkpoint.PausableRun` and
+    each window of :class:`~repro.sim.sampling.SampledRun` all build
+    their runs here, so they step the same core wired the same way.
+    ``hierarchy``/``predictor`` inject warmed state (sampling shares
+    them across windows); ``prewarm_source`` installs a generator's
+    working set into the core's caches before cycle 0.
+    """
+    pipeline = ArrayPipeline(config, stream, policy, hierarchy=hierarchy,
+                             predictor=predictor)
+    if prewarm_source is not None:
+        prewarm_source.prewarm(pipeline.hierarchy)
+    accountant = PowerAccountant(blocks)
+    pipeline.add_observer(accountant.observe)
+    return pipeline, accountant
+
+
 def make_policy(name: str) -> GatingPolicy:
     """Policy factory: ``base``, ``dcg``, ``dcg-delayed-store``,
     ``dcg+iq`` (DCG composed with [6]'s deterministic issue-queue
@@ -157,21 +173,16 @@ class Simulator:
         Machine configuration; Table 1 baseline by default.
     calibration:
         Power-model calibration; Wattch-era defaults.
-    backend:
-        Cycle-core implementation: ``array`` (struct-of-arrays with an
-        event-driven issue stage; the default) or ``object``
-        (``InflightOp`` records; same results, slower, and the core
-        pipetrace capture needs).  ``None`` defers to the
-        ``REPRO_BACKEND`` environment variable, then ``array``.
+
+    Every run steps the one production cycle core, wired by
+    :func:`assemble`.
     """
 
     def __init__(self, config: Optional[MachineConfig] = None,
-                 calibration: Optional[PowerCalibration] = None,
-                 backend: Optional[str] = None) -> None:
+                 calibration: Optional[PowerCalibration] = None) -> None:
         self.config = config or baseline_config()
         self.calibration = calibration or PowerCalibration()
         self.blocks = BlockPowers(self.config, self.calibration)
-        self.backend = resolve_backend(backend)
 
     def run_benchmark(self, benchmark: Union[str, BenchmarkProfile],
                       policy: Union[str, GatingPolicy] = "base",
@@ -210,12 +221,9 @@ class Simulator:
              prewarm_source: Optional[SyntheticTraceGenerator] = None,
              observers: Optional[Iterable] = None) -> SimulationResult:
         policy_obj = make_policy(policy) if isinstance(policy, str) else policy
-        core = ArrayPipeline if self.backend == "array" else Pipeline
-        pipeline = core(self.config, stream, policy_obj)
-        if prewarm_source is not None:
-            prewarm_source.prewarm(pipeline.hierarchy)
-        accountant = PowerAccountant(self.blocks)
-        pipeline.add_observer(accountant.observe)
+        pipeline, accountant = assemble(self.config, stream, policy_obj,
+                                        self.blocks,
+                                        prewarm_source=prewarm_source)
         if observers:
             for observer in observers:
                 pipeline.add_observer(observer)

@@ -1,17 +1,25 @@
-"""Deterministic clock gating mechanism."""
+"""Deterministic clock gating mechanism.
+
+Whole-run checks step both cycle cores: the production struct-of-arrays
+core and the reference object core.
+"""
 
 import pytest
 
 from repro.core import DCGPolicy, NoGatingPolicy
 from repro.pipeline import CycleUsage, MachineConfig, Pipeline
-from repro.trace import FUClass, MicroOp, OpClass, TraceStream
+from repro.pipeline.arraycore import ArrayPipeline
+from repro.trace import FUClass, TraceStream
 from repro.workloads import SyntheticTraceGenerator, get_profile
 
 
-def _pipeline(policy, benchmark="gzip", n=3000):
+CORES = (ArrayPipeline, Pipeline)
+
+
+def _pipeline(core, policy, benchmark="gzip", n=3000, config=None):
     generator = SyntheticTraceGenerator(get_profile(benchmark))
-    pipe = Pipeline(MachineConfig(), TraceStream(iter(generator), limit=n),
-                    policy)
+    pipe = core(config or MachineConfig(),
+                TraceStream(iter(generator), limit=n), policy)
     generator.prewarm(pipe.hierarchy)
     return pipe
 
@@ -40,10 +48,10 @@ def test_grant_calendar_matches_actual_activity():
     """The paper's core claim: GRANT signals known at issue fully
     determine execution-unit usage two cycles later.  verify=True makes
     DCGPolicy raise on any disagreement; a full run must be silent."""
-    policy = DCGPolicy(verify=True)
-    pipe = _pipeline(policy)
-    stats = pipe.run(max_instructions=3000)
-    assert stats.committed == 3000
+    for core in CORES:
+        pipe = _pipeline(core, DCGPolicy(verify=True))
+        stats = pipe.run(max_instructions=3000)
+        assert stats.committed == 3000
 
 
 def test_determinism_check_catches_fabricated_activity():
@@ -61,8 +69,11 @@ def test_determinism_check_catches_fabricated_activity():
 def test_gates_exactly_the_unused_blocks():
     """Over a real run, every gate decision must complement observed
     usage exactly: gated + used == capacity for each family."""
-    policy = DCGPolicy()
-    pipe = _pipeline(policy)
+    for core in CORES:
+        _check_gates_complement_usage(_pipeline(core, DCGPolicy()))
+
+
+def _check_gates_complement_usage(pipe):
     config = pipe.config
     records = []
     pipe.add_observer(lambda u, d: records.append((u, d)))
@@ -86,87 +97,81 @@ def test_gates_exactly_the_unused_blocks():
 def test_zero_performance_loss():
     """DCG must not change the cycle count at all (advance store
     policy imposes no constraints)."""
-    base = _pipeline(NoGatingPolicy())
-    base_stats = base.run(max_instructions=3000)
-    dcg = _pipeline(DCGPolicy())
-    dcg_stats = dcg.run(max_instructions=3000)
-    assert dcg_stats.cycles == base_stats.cycles
-    assert dcg_stats.committed == base_stats.committed
+    for core in CORES:
+        base_stats = _pipeline(core, NoGatingPolicy()).run(
+            max_instructions=3000)
+        dcg_stats = _pipeline(core, DCGPolicy()).run(max_instructions=3000)
+        assert dcg_stats.cycles == base_stats.cycles
+        assert dcg_stats.committed == base_stats.committed
 
 
 def test_delayed_store_policy_costs_almost_nothing():
     """§3.3: delaying stores by one cycle for gate-control set-up has
     virtually no performance impact."""
-    base = _pipeline(NoGatingPolicy(), benchmark="vortex")
-    base_stats = base.run(max_instructions=3000)
-    delayed = _pipeline(DCGPolicy(store_policy="delayed"),
-                        benchmark="vortex")
-    delayed_stats = delayed.run(max_instructions=3000)
-    slowdown = delayed_stats.cycles / base_stats.cycles
-    assert slowdown < 1.02
+    for core in CORES:
+        base_stats = _pipeline(core, NoGatingPolicy(), "vortex").run(
+            max_instructions=3000)
+        delayed_stats = _pipeline(core, DCGPolicy(store_policy="delayed"),
+                                  "vortex").run(max_instructions=3000)
+        slowdown = delayed_stats.cycles / base_stats.cycles
+        assert slowdown < 1.02
+
+
+def _decisions(pipe, n):
+    records = []
+    pipe.add_observer(lambda u, d: records.append(d))
+    pipe.run(max_instructions=n)
+    return records
 
 
 def test_component_disable_flags():
-    policy = DCGPolicy(gate_units=False, gate_latches=False,
-                       gate_dcache=False, gate_result_bus=False)
-    pipe = _pipeline(policy)
-    records = []
-    pipe.add_observer(lambda u, d: records.append(d))
-    pipe.run(max_instructions=500)
-    for decision in records:
-        assert decision.fu_gated == {}
-        assert decision.latch_gated_slots == 0
-        assert decision.dcache_ports_gated == 0
-        assert decision.result_buses_gated == 0
+    for core in CORES:
+        policy = DCGPolicy(gate_units=False, gate_latches=False,
+                           gate_dcache=False, gate_result_bus=False)
+        for decision in _decisions(_pipeline(core, policy), 500):
+            assert decision.fu_gated == {}
+            assert decision.latch_gated_slots == 0
+            assert decision.dcache_ports_gated == 0
+            assert decision.result_buses_gated == 0
 
 
 def test_sequential_priority_toggles_less_than_round_robin():
     """§3.1: static unit priorities keep gate controls stable."""
     from repro.backend import AllocationPolicy
-    seq_policy = DCGPolicy()
-    seq_pipe = _pipeline(seq_policy)
-    seq_pipe.run(max_instructions=3000)
-
-    rr_policy = DCGPolicy()
-    generator = SyntheticTraceGenerator(get_profile("gzip"))
     rr_config = MachineConfig(fu_policy=AllocationPolicy.ROUND_ROBIN)
-    rr_pipe = Pipeline(rr_config, TraceStream(iter(generator), limit=3000),
-                       rr_policy)
-    generator.prewarm(rr_pipe.hierarchy)
-    rr_pipe.run(max_instructions=3000)
-
-    assert seq_policy.toggle_count < rr_policy.toggle_count
+    for core in CORES:
+        seq_policy = DCGPolicy()
+        _pipeline(core, seq_policy).run(max_instructions=3000)
+        rr_policy = DCGPolicy()
+        _pipeline(core, rr_policy, config=rr_config).run(
+            max_instructions=3000)
+        assert seq_policy.toggle_count < rr_policy.toggle_count
 
 
 def test_dcg_never_gates_issue_queue():
     """§2.2.2: DCG leaves the issue queue to [6]'s technique."""
-    policy = DCGPolicy()
-    pipe = _pipeline(policy)
-    records = []
-    pipe.add_observer(lambda u, d: records.append(d))
-    pipe.run(max_instructions=500)
-    assert all(d.issue_queue_gated_fraction == 0.0 for d in records)
+    for core in CORES:
+        records = _decisions(_pipeline(core, DCGPolicy()), 500)
+        assert all(d.issue_queue_gated_fraction == 0.0 for d in records)
 
 
 def test_issue_queue_extension_gates_empty_entries():
     """Extension: composing DCG with [6]'s deterministic issue-queue
     gating saves strictly more power at identical cycle counts."""
-    plain = DCGPolicy()
-    plain_pipe = _pipeline(plain)
-    records_plain = []
-    plain_pipe.add_observer(lambda u, d: records_plain.append(d))
-    plain_stats = plain_pipe.run(max_instructions=2000)
-
-    combined = DCGPolicy(gate_issue_queue=True)
-    assert combined.name == "dcg+iq"
-    combined_pipe = _pipeline(combined)
-    records = []
-    combined_pipe.add_observer(lambda u, d: records.append((u, d)))
-    combined_stats = combined_pipe.run(max_instructions=2000)
-
-    assert combined_stats.cycles == plain_stats.cycles
-    assert all(d.issue_queue_gated_fraction == 0.0 for d in records_plain)
+    assert DCGPolicy(gate_issue_queue=True).name == "dcg+iq"
     window = MachineConfig().window_size
-    for usage, decision in records:
-        expected = (window - usage.window_occupancy) / window
-        assert decision.issue_queue_gated_fraction == expected
+    for core in CORES:
+        plain_pipe = _pipeline(core, DCGPolicy())
+        records_plain = _decisions(plain_pipe, 2000)
+
+        combined_pipe = _pipeline(core, DCGPolicy(gate_issue_queue=True))
+        records = []
+        combined_pipe.add_observer(lambda u, d: records.append((u, d)))
+        combined_stats = combined_pipe.run(max_instructions=2000)
+
+        assert combined_stats.cycles == plain_pipe.stats.cycles
+        assert all(d.issue_queue_gated_fraction == 0.0
+                   for d in records_plain)
+        for usage, decision in records:
+            expected = (window - usage.window_occupancy) / window
+            assert decision.issue_queue_gated_fraction == expected

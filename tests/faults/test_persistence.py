@@ -2,11 +2,13 @@
 
 import json
 import os
+import time
 
 from repro.service import ServiceServer, SimulationService
 from repro.service.jobs import JobQueue, JobState, make_spec
 from repro.service.persist import PendingJob, QueueJournal
 from repro.sim import ResultCache
+from repro.sim.atomicfile import STALE_TMP_SECONDS
 from repro.sim.parallel import RunSpec
 
 INSTRUCTIONS = 400
@@ -72,6 +74,23 @@ def test_compact_rewrites_to_outstanding_set(tmp_path):
     assert lines[0]["op"] == "submit"
     assert lines[0]["id"] == done.id
     assert journal.load()[0].id == done.id
+
+
+def test_compact_sweeps_stale_tmp_orphans(tmp_path):
+    """A compaction killed before its replace leaves a temp file; the
+    next compaction removes it."""
+    journal = _journal(tmp_path)
+    queue = JobQueue(maxsize=16, persist=journal)
+    queue.submit(_spec("gzip"))
+    stale = journal.path + ".tmp.99999"
+    with open(stale, "w", encoding="utf-8") as handle:
+        handle.write('{"v": 1, "op": "submit"')
+    old = time.time() - STALE_TMP_SECONDS - 60
+    os.utime(stale, (old, old))
+    journal.compact(journal.load())
+    assert not os.path.exists(stale)
+    assert os.listdir(os.path.dirname(journal.path)) == ["queue.jsonl"]
+    assert len(journal.load()) == 1
 
 
 def test_recording_never_raises_on_io_failure(tmp_path):

@@ -1,11 +1,13 @@
-"""Cross-backend bit-identity: struct-of-arrays core vs object core.
+"""Cross-core bit-identity: struct-of-arrays core vs object core.
 
-The ``array`` backend is a pure re-layout of the cycle core: for any
-workload, policy, and machine configuration it must produce the same
-:class:`SimulationResult` down to the last float, and the same
-per-cycle usage stream.  These tests pin that equivalence directly;
-the golden invariance suite additionally pins each backend against the
-frozen pre-optimisation reference.
+The production struct-of-arrays core is a pure re-layout of the
+reference object core: for any workload, policy, and machine
+configuration it must produce the same :class:`SimulationResult` down
+to the last float, and the same per-cycle usage stream.  These tests
+pin that equivalence directly (the ``object_core`` fixture runs the
+production wiring on the reference core); the golden invariance suite
+additionally pins each core against the frozen pre-optimisation
+reference.
 """
 
 import pickle
@@ -31,30 +33,37 @@ CASES = [
 ]
 
 
-def _result(backend, benchmark, policy, config=None):
-    sim = Simulator(config, backend=backend)
+def _result(benchmark, policy, config=None):
+    sim = Simulator(config)
     return result_to_dict(sim.run_benchmark(benchmark, policy,
                                             instructions=2000, seed=7))
 
 
+def _both(object_core, benchmark, policy, config=None):
+    """(object core result, production core result) of one run."""
+    with object_core():
+        reference = _result(benchmark, policy, config)
+    return reference, _result(benchmark, policy, config)
+
+
 @pytest.mark.parametrize("bench, policy", CASES,
                          ids=[f"{b}/{p}" for b, p in CASES])
-def test_backends_bit_identical(bench, policy):
-    assert _result("object", bench, policy) == \
-        _result("array", bench, policy)
+def test_backends_bit_identical(object_core, bench, policy):
+    reference, produced = _both(object_core, bench, policy)
+    assert reference == produced
 
 
-def test_backends_bit_identical_with_wrong_path():
+def test_backends_bit_identical_with_wrong_path(object_core):
     config = MachineConfig(model_wrong_path=True)
-    assert _result("object", "gcc", "dcg", config) == \
-        _result("array", "gcc", "dcg", config)
+    reference, produced = _both(object_core, "gcc", "dcg", config)
+    assert reference == produced
 
 
-def test_backends_bit_identical_with_restricted_buses():
+def test_backends_bit_identical_with_restricted_buses(object_core):
     # a 2-bus machine keeps _do_complete's overflow spill hot all run
     config = MachineConfig(result_buses=2)
-    assert _result("object", "gzip", "base", config) == \
-        _result("array", "gzip", "base", config)
+    reference, produced = _both(object_core, "gzip", "base", config)
+    assert reference == produced
 
 
 def _usage_stream(core_cls, config, n=3000):
@@ -118,41 +127,43 @@ def test_usage_totals_identical_including_chunked_runs():
 # and a checkpoint taken with entries still pending.
 
 
-def test_backends_bit_identical_wrong_path_high_mispredict():
+def test_backends_bit_identical_wrong_path_high_mispredict(object_core):
     # mcf has the suite's highest random-branch fraction, so wrong-path
     # ops are squashed while their wake entries are still in the ring
     config = MachineConfig(model_wrong_path=True)
-    object_result = _result("object", "mcf", "dcg", config)
-    assert object_result["stats"]["wrong_path_squashed"] > 0
-    assert object_result == _result("array", "mcf", "dcg", config)
+    reference, produced = _both(object_core, "mcf", "dcg", config)
+    assert reference["stats"]["wrong_path_squashed"] > 0
+    assert reference == produced
 
 
-def test_backends_bit_identical_plb_ext_mode_switching():
-    sim = {backend: Simulator(backend=backend)
-           for backend in ("object", "array")}
-    results = {backend: sim[backend].run_benchmark(
-        "mcf", "plb-ext", instructions=6000, seed=3)
-        for backend in sim}
+def test_backends_bit_identical_plb_ext_mode_switching(object_core):
+    def run():
+        return Simulator().run_benchmark("mcf", "plb-ext",
+                                         instructions=6000, seed=3)
+
+    with object_core():
+        reference = run()
+    produced = run()
     # more than one PLB mode held the machine: width changes happened
-    assert sum(1 for cycles in results["array"].mode_cycles.values()
+    assert sum(1 for cycles in produced.mode_cycles.values()
                if cycles) > 1
-    assert result_to_dict(results["object"]) == \
-        result_to_dict(results["array"])
+    assert result_to_dict(reference) == result_to_dict(produced)
 
 
 @pytest.mark.parametrize("bench, policy", [("gzip", "dcg"),
                                            ("lucas", "plb-ext")])
-def test_backends_bit_identical_deep_pipeline(bench, policy):
+def test_backends_bit_identical_deep_pipeline(object_core, bench, policy):
     # the fig-17 machine has the largest event-ring horizon
     config = deep_pipeline_config()
-    assert _result("object", bench, policy, config) == \
-        _result("array", bench, policy, config)
+    reference, produced = _both(object_core, bench, policy, config)
+    assert reference == produced
 
 
-def test_checkpoint_with_live_wake_entries_matches_uninterrupted():
-    reference = PausableRun("mcf", "dcg", 3000, backend="array")
+def test_checkpoint_with_live_wake_entries_matches_uninterrupted(
+        object_core):
+    reference = PausableRun("mcf", "dcg", 3000)
     reference.advance()
-    paused = PausableRun("mcf", "dcg", 3000, backend="array")
+    paused = PausableRun("mcf", "dcg", 3000)
     target = 0
     while not any(paused.pipeline._wake_ring):
         target += 50
@@ -164,6 +175,8 @@ def test_checkpoint_with_live_wake_entries_matches_uninterrupted():
     resumed.advance()
     expected = result_to_dict(reference.result())
     assert result_to_dict(resumed.result()) == expected
-    object_run = PausableRun("mcf", "dcg", 3000, backend="object")
+    with object_core():
+        object_run = PausableRun("mcf", "dcg", 3000)
+    assert isinstance(object_run.pipeline, Pipeline)
     object_run.advance()
     assert result_to_dict(object_run.result()) == expected

@@ -8,8 +8,6 @@ deliberate model change — in the latter case, regenerate the goldens
 with ``python tests/integration/test_golden.py``.
 """
 
-import pytest
-
 from repro.sim import Simulator
 
 _INSTRUCTIONS = 2_000
@@ -34,13 +32,8 @@ def _measure():
     return out
 
 
-def test_goldens_are_stable():
-    """Two independent measurements in one process must agree exactly
-    (full determinism), and stay stable across runs of the suite."""
-    first = _measure()
-    second = _measure()
-    assert first == second
-    # sanity anchors that should never drift without a model change:
+def _check_anchors(first):
+    """Sanity anchors that should never drift without a model change."""
     gzip_base_cycles, gzip_base_saving = first[("gzip", "base")]
     assert gzip_base_saving == 0.0
     gzip_dcg_cycles, gzip_dcg_saving = first[("gzip", "dcg")]
@@ -49,6 +42,23 @@ def test_goldens_are_stable():
     mcf_cycles, mcf_saving = first[("mcf", "dcg")]
     assert mcf_cycles > gzip_dcg_cycles * 3   # mcf crawls
     assert mcf_saving > gzip_dcg_saving
+
+
+def test_goldens_are_stable():
+    """Two independent measurements in one process must agree exactly
+    (full determinism), and stay stable across runs of the suite."""
+    first = _measure()
+    second = _measure()
+    assert first == second
+    _check_anchors(first)
+
+
+def test_goldens_are_stable_on_object_core(object_core):
+    """The reference core hits the same anchors, value for value."""
+    with object_core():
+        reference = _measure()
+    assert reference == _measure()
+    _check_anchors(reference)
 
 
 if __name__ == "__main__":   # pragma: no cover - golden regeneration aid

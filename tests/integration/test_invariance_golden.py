@@ -42,8 +42,7 @@ def simulator():
     return Simulator()
 
 
-@pytest.mark.parametrize("case", _load_golden()["cases"], ids=_case_ids())
-def test_results_bit_identical_to_golden(simulator, case):
+def _check_against_golden(simulator, case):
     result = simulator.run_benchmark(
         case["benchmark"], case["policy"],
         instructions=case["instructions"], seed=case["seed"])
@@ -51,6 +50,19 @@ def test_results_bit_identical_to_golden(simulator, case):
     assert produced == case["result"], (
         f"{case['benchmark']}/{case['policy']}: SimulationResult drifted "
         "from the pre-optimisation golden (bit-identity broken)")
+
+
+@pytest.mark.parametrize("case", _load_golden()["cases"], ids=_case_ids())
+def test_results_bit_identical_to_golden(simulator, case):
+    _check_against_golden(simulator, case)
+
+
+@pytest.mark.parametrize("case", _load_golden()["cases"], ids=_case_ids())
+def test_object_core_bit_identical_to_golden(simulator, object_core, case):
+    """The reference core must hold the same golden as the production
+    core, so the equivalence oracle itself cannot drift."""
+    with object_core():
+        _check_against_golden(simulator, case)
 
 
 @pytest.mark.parametrize("case", _load_golden()["cases"], ids=_case_ids())

@@ -1,8 +1,10 @@
 """Property-based whole-pipeline invariants.
 
 Hypothesis drives the synthetic workload generator across its parameter
-space; for every generated workload the pipeline must commit the whole
-trace, respect capacity bounds, and keep DCG's determinism check silent.
+space; for every generated workload both cycle cores — the production
+struct-of-arrays core and the reference object core — must commit the
+whole trace, respect capacity bounds, keep DCG's determinism check
+silent, and agree with each other.
 """
 
 from dataclasses import replace
@@ -11,10 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import DCGPolicy
 from repro.pipeline import MachineConfig, Pipeline
+from repro.pipeline.arraycore import ArrayPipeline
 from repro.trace import TraceStream
 from repro.workloads import SyntheticTraceGenerator, get_profile
 
 _BASES = ("gzip", "mcf", "swim", "mesa")
+
+CORES = (Pipeline, ArrayPipeline)
 
 
 @st.composite
@@ -35,13 +40,11 @@ def workloads(draw):
     )
 
 
-@settings(max_examples=12, deadline=None)
-@given(profile=workloads(), n=st.integers(200, 900))
-def test_pipeline_invariants_hold_for_any_workload(profile, n):
+def _check_invariants(core, profile, n):
     policy = DCGPolicy(verify=True)   # raises on any determinism break
     generator = SyntheticTraceGenerator(profile)
     config = MachineConfig()
-    pipe = Pipeline(config, TraceStream(iter(generator), limit=n), policy)
+    pipe = core(config, TraceStream(iter(generator), limit=n), policy)
     generator.prewarm(pipe.hierarchy)
 
     violations = []
@@ -63,3 +66,11 @@ def test_pipeline_invariants_hold_for_any_workload(profile, n):
     assert stats.committed == n
     assert violations == []
     assert stats.cycles >= n / config.issue_width
+    return stats.cycles, policy.toggle_count
+
+
+@settings(max_examples=12, deadline=None)
+@given(profile=workloads(), n=st.integers(200, 900))
+def test_pipeline_invariants_hold_for_any_workload(profile, n):
+    outcomes = [_check_invariants(core, profile, n) for core in CORES]
+    assert outcomes[0] == outcomes[1]

@@ -12,8 +12,8 @@ import pytest
 from repro.core import NoGatingPolicy
 from repro.pipeline import MachineConfig, Pipeline
 from repro.pipeline.arraycore import ArrayPipeline
+from repro.sim import Simulator
 from repro.trace import MicroOp, OpClass, TraceStream
-from repro.workloads import SyntheticTraceGenerator, get_profile
 
 CORES = [Pipeline, ArrayPipeline]
 CORE_IDS = ["object", "array"]
@@ -67,23 +67,23 @@ def test_spill_drains_in_submission_order(core_cls):
     assert drained == committed == 60
 
 
-def test_spill_identical_across_backends_under_squash():
+def test_spill_identical_across_backends_under_squash(object_core):
     """Wrong-path ops that spilled to c+1 and were squashed before
     draining must be re-filtered when the spill drains.  Run a real
     branchy workload with wrong-path modeling on a 1-bus machine and
     require the full per-cycle bus/commit stream to match between
-    backends."""
+    the production core and the object core."""
     config = MachineConfig(result_buses=1, model_wrong_path=True)
-    streams = []
-    for core_cls in CORES:
-        generator = SyntheticTraceGenerator(get_profile("gcc"))
-        pipe = core_cls(config, TraceStream(iter(generator), limit=2000),
-                        NoGatingPolicy())
-        generator.prewarm(pipe.hierarchy)
+
+    def bus_stream():
         seen = []
-        pipe.add_observer(lambda u, d, seen=seen: seen.append(
-            (u.cycle, u.result_bus_used, u.committed)))
-        stats = pipe.run(max_instructions=2000)
-        assert stats.wrong_path_squashed > 0
-        streams.append(seen)
-    assert streams[0] == streams[1]
+        result = Simulator(config).run_benchmark(
+            "gcc", "base", instructions=2000,
+            observers=[lambda u, d: seen.append(
+                (u.cycle, u.result_bus_used, u.committed))])
+        assert result.stats.wrong_path_squashed > 0
+        return seen
+
+    with object_core():
+        reference = bus_stream()
+    assert bus_stream() == reference

@@ -13,6 +13,10 @@ plans and journal configuration, mirroring ``tests/faults/conftest.py``
 
 from __future__ import annotations
 
+import json
+import socket
+from urllib.parse import urlparse
+
 import pytest
 
 from repro.faults import configure_faults
@@ -108,3 +112,35 @@ def make_fleet(tmp_path):
 @pytest.fixture
 def fleet(make_fleet):
     return make_fleet()
+
+
+#: Content-Length values no handler may trust: a negative length used to
+#: block the handler in ``rfile.read(-1)``, a non-integer one to drop
+#: the connection with an uncaught ``ValueError``
+MALFORMED_LENGTHS = ("-1", "abc")
+
+
+def raw_request(url, method, path, content_length, timeout=5.0):
+    """Send a bodyless request with a hand-written ``Content-Length``
+    over a raw socket; ``(status, JSON payload)`` of the reply.
+
+    Reads until the server closes the connection, so a handler that
+    hangs fails the test with ``socket.timeout`` instead of wedging it.
+    """
+    parsed = urlparse(url)
+    with socket.create_connection((parsed.hostname, parsed.port),
+                                  timeout=timeout) as sock:
+        sock.sendall((f"{method} {path} HTTP/1.1\r\n"
+                      f"Host: {parsed.netloc}\r\n"
+                      "Content-Type: application/json\r\n"
+                      f"Content-Length: {content_length}\r\n"
+                      "\r\n").encode("ascii"))
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    return status, json.loads(body)

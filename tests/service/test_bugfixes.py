@@ -7,7 +7,7 @@ import pytest
 
 from repro.service import ServiceClient, ServiceTimeout, SimulationService
 from repro.sim import ResultCache, Simulator
-from repro.sim import cache as cache_mod
+from repro.sim.atomicfile import STALE_TMP_SECONDS
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,7 @@ def test_put_sweeps_stale_tmp_orphans(tmp_path, result):
     cache = ResultCache(str(tmp_path))
     key = "cc" + "0" * 62
     stale = _orphan(cache, key,
-                    age_seconds=cache_mod.STALE_TMP_SECONDS + 60)
+                    age_seconds=STALE_TMP_SECONDS + 60)
     cache.put(key, result)
     assert not os.path.exists(stale)         # swept on the way in
     assert cache.get(key).cycles == result.cycles

@@ -11,6 +11,8 @@ import pytest
 from repro.service import CacheTierClient, CacheTierServer, CacheTierService
 from repro.sim import ResultCache, Simulator
 
+from .conftest import MALFORMED_LENGTHS, raw_request
+
 KEY_A = "aa" + "11" * 31
 KEY_B = "bb" + "22" * 31
 KEY_C = "cc" + "33" * 31
@@ -32,6 +34,16 @@ def tier(tmp_path):
     yield service, server
     server.shutdown()
     server.server_close()
+
+
+def test_malformed_content_length_is_a_json_400(tier):
+    service, server = tier
+    for length in MALFORMED_LENGTHS:
+        status, payload = raw_request(server.url, "PUT",
+                                      f"/v1/cache/{KEY_A}", length)
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+    assert service.cache.stores == 0
 
 
 def test_requires_an_enabled_cache_root():

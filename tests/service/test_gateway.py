@@ -14,6 +14,8 @@ from repro.service import (BackpressureError, Gateway, GatewayServer,
 from repro.service.workers import ShutdownRequested
 from repro.sim import ResultCache
 
+from .conftest import MALFORMED_LENGTHS, raw_request
+
 INSTRUCTIONS = 300
 
 
@@ -106,6 +108,14 @@ def test_malformed_batch_is_a_json_400(fleet, body):
         urllib.request.urlopen(request, timeout=30)
     assert excinfo.value.code == 400
     assert "runs" in json.loads(excinfo.value.read())["error"]
+    assert fleet.simulated() == [0, 0]
+
+
+def test_malformed_content_length_is_a_json_400(fleet):
+    for length in MALFORMED_LENGTHS:
+        status, payload = raw_request(fleet.url, "POST", "/v1/runs", length)
+        assert status == 400
+        assert "Content-Length" in payload["error"]
     assert fleet.simulated() == [0, 0]
 
 

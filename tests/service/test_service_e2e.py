@@ -15,6 +15,8 @@ from repro.service.workers import ShutdownRequested
 from repro.sim import ExperimentRunner, ResultCache, Simulator
 from repro.sim.cache import result_to_dict
 
+from .conftest import MALFORMED_LENGTHS, raw_request
+
 INSTRUCTIONS = 400
 
 BATCH = [
@@ -159,6 +161,16 @@ def test_malformed_batch_is_a_json_400(service_url, body, message):
     assert re.search(message, payload["error"])
     assert service.queue.depth == 0
     # the connection survived: the server still answers
+    assert ServiceClient(url).healthz()["status"] == "ok"
+
+
+def test_malformed_content_length_is_a_json_400(service_url):
+    url, service = service_url
+    for length in MALFORMED_LENGTHS:
+        status, payload = raw_request(url, "POST", "/v1/runs", length)
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+    assert service.queue.depth == 0
     assert ServiceClient(url).healthz()["status"] == "ok"
 
 

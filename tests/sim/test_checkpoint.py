@@ -1,13 +1,16 @@
 """Checkpoint store and pausable runs: bit-identity, corruption
 tolerance, interrupt/resume via the spec entry point."""
 
+import hashlib
 import os
 import pickle
+import time
 
 import pytest
 
 from repro.sim import (CheckpointStore, PausableRun, SimulationInterrupted,
                        Simulator, run_resumable_spec)
+from repro.sim.atomicfile import STALE_TMP_SECONDS
 from repro.sim.cache import result_to_dict
 from repro.sim.checkpoint import (CHECKPOINT_DIR_ENV_VAR, CHUNK_ENV_VAR,
                                   DEFAULT_CHUNK, checkpoint_chunk,
@@ -120,6 +123,44 @@ def test_stale_version_is_a_miss(tmp_path, monkeypatch):
     assert not os.path.exists(store.path(key))
 
 
+def test_saved_bytes_keep_the_envelope_format(tmp_path):
+    """Magic prefix + pickled envelope, exactly as older trees wrote
+    it, so existing checkpoint files keep reading back."""
+    store = _store(tmp_path)
+    key = "9a" + "0" * 62
+    state = {"drawn": 11}
+    store.save(key, "run", state, meta={"committed": 11})
+    payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+    envelope = {"version": 1, "kind": "run", "key": key,
+                "meta": {"committed": 11},
+                "digest": hashlib.sha256(payload).hexdigest(),
+                "payload": payload}
+    expected = b"REPROCKPT1\n" + pickle.dumps(
+        envelope, protocol=pickle.HIGHEST_PROTOCOL)
+    with open(store.path(key), "rb") as handle:
+        assert handle.read() == expected
+
+
+def test_save_sweeps_stale_tmp_orphans(tmp_path):
+    """A writer killed between open and replace leaves ``*.ckpt.tmp.*``
+    behind; the next save into that directory removes it, but spares
+    a fresh one (a live concurrent writer's)."""
+    store = _store(tmp_path)
+    key = "bc" + "0" * 62
+    os.makedirs(os.path.dirname(store.path(key)))
+    stale = store.path("bc" + "1" * 62) + ".tmp.99999"
+    live = store.path("bc" + "2" * 62) + ".tmp.99998"
+    for orphan in (stale, live):
+        with open(orphan, "wb") as handle:
+            handle.write(b"REPROCKPT1\ntorn")
+    old = time.time() - STALE_TMP_SECONDS - 60
+    os.utime(stale, (old, old))
+    assert store.save(key, "run", {"drawn": 3})
+    assert not os.path.exists(stale)
+    assert os.path.exists(live)
+    assert store.load(key, kind="run") == {"drawn": 3}
+
+
 def test_unpicklable_state_is_dropped_not_raised(tmp_path):
     store = _store(tmp_path)
     assert store.save("78" + "0" * 62, "run",
@@ -145,23 +186,21 @@ def test_spec_checkpoint_key_isolates_sample_plans():
 
 # -- PausableRun ------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", ["object", "array"])
-def test_straight_drive_matches_simulator(backend):
-    run = PausableRun("gzip", "dcg", INSTRUCTIONS, backend=backend)
+def test_straight_drive_matches_simulator(each_core):
+    run = PausableRun("gzip", "dcg", INSTRUCTIONS)
     run.advance()
-    direct = Simulator(backend=backend).run_benchmark(
+    direct = Simulator().run_benchmark(
         "gzip", "dcg", INSTRUCTIONS)
     assert result_to_dict(run.result()) == result_to_dict(direct)
 
 
-@pytest.mark.parametrize("backend", ["object", "array"])
-def test_snapshot_resume_is_bit_identical(backend):
+def test_snapshot_resume_is_bit_identical(each_core):
     """Pause mid-run, pickle the state (the store's round-trip), resume
     in a 'fresh process', and finish: byte-identical to never pausing."""
-    reference = PausableRun("gzip", "dcg", INSTRUCTIONS, backend=backend)
+    reference = PausableRun("gzip", "dcg", INSTRUCTIONS)
     reference.advance()
 
-    paused = PausableRun("gzip", "dcg", INSTRUCTIONS, backend=backend)
+    paused = PausableRun("gzip", "dcg", INSTRUCTIONS)
     paused.advance(701)
     frozen = pickle.dumps(paused.state())
     del paused

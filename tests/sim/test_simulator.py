@@ -82,21 +82,16 @@ def test_seed_changes_trace(sim):
     assert a.cycles != b.cycles
 
 
-def test_backend_resolution(monkeypatch):
-    from repro.sim.simulator import BACKEND_ENV_VAR, resolve_backend
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+def test_every_run_steps_one_production_core(object_core):
+    from repro.pipeline import Pipeline
+    from repro.pipeline.arraycore import ArrayPipeline
+    from repro.sim import PausableRun
+    from repro.sim.simulator import resolve_backend
     assert resolve_backend() == "array"
-    assert resolve_backend("object") == "object"
-    monkeypatch.setenv(BACKEND_ENV_VAR, "object")
-    assert resolve_backend() == "object"
-    # an explicit argument beats the environment
-    assert resolve_backend("array") == "array"
-    assert Simulator().backend == "object"
-    with pytest.raises(ValueError, match="unknown backend"):
-        resolve_backend("vector")
-    monkeypatch.setenv(BACKEND_ENV_VAR, "bogus")
-    with pytest.raises(ValueError, match="unknown backend"):
-        Simulator()
+    assert type(PausableRun("gzip", "dcg", 100).pipeline) is ArrayPipeline
+    # the test-only swap reaches the same single assembly point
+    with object_core():
+        assert type(PausableRun("gzip", "dcg", 100).pipeline) is Pipeline
 
 
 def test_default_instructions_env(monkeypatch):
