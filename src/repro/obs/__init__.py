@@ -9,7 +9,7 @@ The subsystem the rest of the repo reports through:
 * :mod:`~repro.obs.metrics` — Prometheus-style registry (counters,
   gauges, bounded-reservoir histograms) behind the service's
   ``/metrics`` and ``/metrics?format=prom``.
-* :mod:`~repro.obs.sampling` — opt-in per-cycle occupancy/gating
+* :mod:`~repro.obs.cycle_sampler` — opt-in per-cycle occupancy/gating
   histograms (``REPRO_SAMPLE=1``), off the hot path when disabled.
 * :mod:`~repro.obs.summary` — journal post-processing for
   ``repro events tail|summarize``.
@@ -23,7 +23,7 @@ from .events import (EventJournal, JOURNAL_FILENAME, LOG_DIR_ENV_VAR,
                      get_journal, journal_path_from_env, read_events)
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       validate_prom_text)
-from .sampling import PipelineSampler, SAMPLE_ENV_VAR, sampling_enabled
+from .cycle_sampler import PipelineSampler, SAMPLE_ENV_VAR, sampling_enabled
 from .summary import (format_event_line, format_summary, summarize_events,
                       summarize_journal, tail_events)
 from .tracing import (SPAN_HEADER, SpanContext, TRACE_HEADER, activate,

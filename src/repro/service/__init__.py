@@ -15,7 +15,7 @@ from .client import (DEADLINE_HEADER, BackpressureError, JobFailed,
 from .gateway import Gateway, GatewayServer, serve_gateway
 from .hashring import HashRing
 from .jobs import (Job, JobQueue, JobState, QueueClosed, QueueFull,
-                   make_spec, spec_fingerprint, validate_spec)
+                   make_spec, parse_run_request, validate_spec)
 from .persist import (STATE_DIR_ENV_VAR, PendingJob, QueueJournal)
 from .server import ServiceServer, SimulationService, serve
 from .workers import JobTimeout, ShutdownRequested, WorkerCrash, WorkerPool
@@ -50,9 +50,9 @@ __all__ = [
     "WorkerPool",
     "default_server_url",
     "make_spec",
+    "parse_run_request",
     "serve",
     "serve_cache_tier",
     "serve_gateway",
-    "spec_fingerprint",
     "validate_spec",
 ]

@@ -41,14 +41,13 @@ import time
 import urllib.error
 import urllib.request
 from collections import OrderedDict
-from http.server import ThreadingHTTPServer
 from typing import Any, Dict, Optional
 
 from ..faults import should_inject
 from ..obs.events import get_journal
 from ..sim.cache import ResultCache, result_from_dict, result_to_dict
 from ..sim.simulator import SimulationResult
-from .handler import JSONHandler
+from .handler import JSONHandler, JSONServer, serve_until_interrupted
 
 __all__ = ["CacheTierClient", "CacheTierServer", "CacheTierService",
            "DEFAULT_CACHE_TIER_PORT", "serve_cache_tier"]
@@ -145,35 +144,18 @@ class _TierHandler(JSONHandler):
         self._send(404, {"error": f"no such endpoint: {self.path}"})
 
 
-class CacheTierServer(ThreadingHTTPServer):
+class CacheTierServer(JSONServer):
     """Threading HTTP server over a :class:`CacheTierService`.
 
     ``port=0`` binds an ephemeral port (tests); read it back from
     ``server.port``.
     """
 
-    daemon_threads = True
-
     def __init__(self, tier: CacheTierService, host: str = "127.0.0.1",
                  port: int = DEFAULT_CACHE_TIER_PORT,
                  verbose: bool = False) -> None:
         self.tier = tier
-        self.verbose = verbose
-        super().__init__((host, port), _TierHandler)
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.server_address[0]}:{self.port}"
-
-    def start_background(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True,
-                                  name="repro-cache-tier-http")
-        thread.start()
-        return thread
+        super().__init__((host, port), _TierHandler, verbose)
 
 
 def serve_cache_tier(tier: CacheTierService, host: str = "127.0.0.1",
@@ -181,29 +163,9 @@ def serve_cache_tier(tier: CacheTierService, host: str = "127.0.0.1",
                      verbose: bool = False,
                      ready: Optional[threading.Event] = None) -> None:
     """Run the cache tier until interrupted (``repro cache-tier``)."""
-    import signal
-
-    server = CacheTierServer(tier, host=host, port=port, verbose=verbose)
-
-    def _interrupt(_signum, _frame) -> None:
-        raise KeyboardInterrupt
-
-    previous = []
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous.append((signum, signal.signal(signum, _interrupt)))
-        except (ValueError, OSError):        # not the main thread
-            pass
-    if ready is not None:
-        ready.set()
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        for signum, handler in previous:
-            signal.signal(signum, handler)
-        server.server_close()
+    serve_until_interrupted(
+        CacheTierServer(tier, host=host, port=port, verbose=verbose),
+        ready)
 
 
 # ---------------------------------------------------------------------------

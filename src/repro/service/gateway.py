@@ -5,7 +5,7 @@ single :class:`~repro.service.server.ServiceServer`, so a
 :class:`~repro.service.client.ServiceClient` (and every ``--server``
 CLI path built on it) points at the gateway unchanged.  Behind the
 door, each submitted run is routed by the consistent hash of its
-:func:`~repro.service.jobs.spec_fingerprint` — the same content hash
+:meth:`~repro.sim.parallel.RunSpec.key` — the same content hash
 the disk cache and the per-shard dedup use — so an identical spec
 always lands on the same shard, from any client, through any gateway:
 per-shard in-flight dedup becomes fleet-wide dedup.
@@ -36,7 +36,6 @@ import re
 import threading
 import time
 from collections import OrderedDict
-from http.server import ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlparse
 
@@ -46,9 +45,9 @@ from ..power.budget import PowerCalibration
 from .client import (DEADLINE_HEADER, BackpressureError, JobFailed,
                      ServiceClient, ServiceClosed, ServiceError,
                      ServiceTimeout)
-from .handler import JSONHandler
+from .handler import JSONHandler, JSONServer, serve_until_interrupted
 from .hashring import HashRing
-from .jobs import batch_requests, make_spec, spec_fingerprint
+from .jobs import batch_requests, parse_run_request
 
 __all__ = ["Gateway", "GatewayServer", "DEFAULT_GATEWAY_PORT",
            "serve_gateway"]
@@ -118,14 +117,7 @@ class Gateway:
         return exc.status == 0
 
     def _fingerprint(self, fields: Dict[str, Any]) -> str:
-        spec = make_spec(
-            benchmark=fields["benchmark"],
-            policy=fields.get("policy", "dcg"),
-            tag=fields.get("tag", "baseline"),
-            instructions=fields.get("instructions"),
-            seed=fields.get("seed"),
-            sample=fields.get("sample"))
-        return spec_fingerprint(spec, self.calibration)
+        return parse_run_request(fields)[0].key(self.calibration)
 
     def submit_runs(self, requests: Sequence[Dict[str, Any]],
                     deadline_seconds: Optional[float] = None
@@ -140,11 +132,8 @@ class Gateway:
         always an in-order prefix of the batch, because groups are
         consecutive runs forwarded in order.
         """
-        try:
-            keyed = [(dict(fields), self._fingerprint(fields))
-                     for fields in requests]
-        except KeyError as exc:
-            raise ValueError(f"missing or unknown field: {exc}") from None
+        keyed = [(dict(fields), self._fingerprint(fields))
+                 for fields in requests]
         accepted: List[Dict[str, Any]] = []
         for primary, group in self._grouped(keyed):
             try:
@@ -420,61 +409,24 @@ class _GatewayHandler(JSONHandler):
                 self._send(status, dict(exc.payload, error=str(exc)))
 
 
-class GatewayServer(ThreadingHTTPServer):
+class GatewayServer(JSONServer):
     """Threading HTTP server bound to a :class:`Gateway`.
 
     ``port=0`` binds an ephemeral port (tests); read it back from
     ``server.port``.
     """
 
-    daemon_threads = True
-
     def __init__(self, gateway: Gateway, host: str = "127.0.0.1",
                  port: int = DEFAULT_GATEWAY_PORT,
                  verbose: bool = False) -> None:
         self.gateway = gateway
-        self.verbose = verbose
-        super().__init__((host, port), _GatewayHandler)
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.server_address[0]}:{self.port}"
-
-    def start_background(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True,
-                                  name="repro-gateway-http")
-        thread.start()
-        return thread
+        super().__init__((host, port), _GatewayHandler, verbose)
 
 
 def serve_gateway(gateway: Gateway, host: str = "127.0.0.1",
                   port: int = DEFAULT_GATEWAY_PORT, verbose: bool = False,
                   ready: Optional[threading.Event] = None) -> None:
     """Run the gateway until interrupted (``repro gateway``)."""
-    import signal
-
-    server = GatewayServer(gateway, host=host, port=port, verbose=verbose)
-
-    def _interrupt(_signum, _frame) -> None:
-        raise KeyboardInterrupt
-
-    previous = []
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous.append((signum, signal.signal(signum, _interrupt)))
-        except (ValueError, OSError):        # not the main thread
-            pass
-    if ready is not None:
-        ready.set()
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        for signum, handler in previous:
-            signal.signal(signum, handler)
-        server.server_close()
+    serve_until_interrupted(
+        GatewayServer(gateway, host=host, port=port, verbose=verbose),
+        ready)

@@ -1,9 +1,12 @@
-"""Shared JSON request plumbing for the service's HTTP tiers.
+"""Shared HTTP plumbing for the service's tiers.
 
 The shard server, the gateway and the cache tier all speak JSON over
-``http.server``; :class:`JSONHandler` holds what they share — quiet
-logging unless the server is verbose, JSON and text responses, and a
-bounded request-body read.  A ``Content-Length`` that is not a
+``http.server``.  :class:`JSONServer` is their one server scaffold
+(daemon request threads, ``port``/``url``, background serving) and
+:func:`serve_until_interrupted` their one foreground loop;
+:class:`JSONHandler` holds what their handlers share — quiet logging
+unless the server is verbose, JSON and text responses, and a bounded
+request-body read.  A ``Content-Length`` that is not a
 non-negative integer is refused (``ValueError``, which every tier
 answers with a JSON 400) before any read, because ``rfile.read(-1)``
 would block the handler thread until the client hung up.
@@ -12,10 +15,74 @@ would block the handler thread until the client hung up.
 from __future__ import annotations
 
 import json
-from http.server import BaseHTTPRequestHandler
-from typing import Any, Dict
+import signal
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Any, Dict, Optional, Tuple, Type
 
-__all__ = ["JSONHandler"]
+__all__ = ["JSONHandler", "JSONServer", "serve_until_interrupted"]
+
+
+class JSONServer(ThreadingHTTPServer):
+    """Threading HTTP server base: one daemon thread per request.
+
+    ``port=0`` binds an ephemeral port (tests); read it back from
+    :attr:`port`.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, address: Tuple[str, int],
+                 handler: Type[BaseHTTPRequestHandler],
+                 verbose: bool = False) -> None:
+        self.verbose = verbose
+        super().__init__(address, handler)
+
+    @property
+    def port(self) -> int:
+        return self.server_address[1]
+
+    @property
+    def url(self) -> str:
+        return f"http://{self.server_address[0]}:{self.port}"
+
+    def start_background(self) -> threading.Thread:
+        """Serve on a daemon thread (tests and embedded use)."""
+        thread = threading.Thread(target=self.serve_forever, daemon=True,
+                                  name=f"{type(self).__name__}-http")
+        thread.start()
+        return thread
+
+
+def serve_until_interrupted(server: ThreadingHTTPServer,
+                            ready: Optional[threading.Event] = None
+                            ) -> None:
+    """Serve in the foreground until Ctrl-C or SIGTERM, then close.
+
+    Handlers are registered explicitly because a backgrounded server
+    (CI, shell scripts) often inherits SIGINT as ignored; off the main
+    thread, where they cannot be, ``server.shutdown()`` stops the loop.
+    ``ready`` is set once the handlers are in place.
+    """
+    def _interrupt(_signum, _frame) -> None:
+        raise KeyboardInterrupt
+
+    previous = []
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        try:
+            previous.append((signum, signal.signal(signum, _interrupt)))
+        except (ValueError, OSError):        # not the main thread
+            pass
+    if ready is not None:
+        ready.set()
+    try:
+        server.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        for signum, handler in previous:
+            signal.signal(signum, handler)
+        server.server_close()
 
 
 class JSONHandler(BaseHTTPRequestHandler):

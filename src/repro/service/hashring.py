@@ -1,7 +1,7 @@
 """Consistent hash ring mapping cache fingerprints to shard servers.
 
 The gateway's routing primitive: every
-:func:`~repro.service.jobs.spec_fingerprint` must land on the *same*
+:meth:`~repro.sim.parallel.RunSpec.key` must land on the *same*
 shard from any gateway, any process, any day — that is what turns each
 shard's in-flight dedup into fleet-wide dedup.  A plain
 ``hash(key) % n`` would do that too, but re-shards almost every key

@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+import json
 import threading
 import time
 import uuid
@@ -34,15 +35,14 @@ from ..obs.events import get_journal
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import current_context, new_trace_id
 from ..power.budget import PowerCalibration
-from ..sim.cache import fingerprint
-from ..sim.configs import config_from_tag
+from ..sim.configs import config_from_tag, default_instructions
 from ..sim.parallel import RunSpec
 from ..sim.simulator import BUILTIN_POLICIES, SimulationResult
 from ..workloads.profiles import get_profile
 from .persist import PendingJob, QueueJournal
 
 __all__ = ["Job", "JobQueue", "JobState", "QueueClosed", "QueueFull",
-           "batch_requests", "make_spec", "spec_fingerprint",
+           "batch_requests", "make_spec", "parse_run_request",
            "validate_spec"]
 
 
@@ -91,23 +91,51 @@ def make_spec(benchmark: str, policy: str = "dcg", tag: str = "baseline",
               instructions: Optional[int] = None,
               seed: Optional[int] = None,
               sample: Optional[str] = None) -> RunSpec:
-    """Validated :class:`RunSpec` from loose request fields.
-
-    Resolves the profile's canonical name and default seed exactly the
-    way :class:`~repro.sim.runner.ExperimentRunner` does, so a job
-    submitted over the wire lands on the same cache fingerprint as a
-    local run.  ``sample`` is an optional "KxL" interval-sampling plan.
-    """
-    profile = get_profile(benchmark)        # raises KeyError with names
+    """Validated :meth:`RunSpec.resolve` (``instructions`` defaults to
+    :func:`~repro.sim.configs.default_instructions`), so a job
+    submitted over the wire lands on the same key as a local run."""
     if instructions is None:
-        from ..sim.configs import default_instructions
         instructions = default_instructions()
-    spec = RunSpec(tag=tag, benchmark=profile.name, policy=policy,
-                   instructions=int(instructions),
-                   seed=profile.seed if seed is None else int(seed),
-                   sample=str(sample) if sample is not None else None)
+    spec = RunSpec.resolve(benchmark, policy, tag, instructions, seed,
+                           sample)
     validate_spec(spec)
     return spec
+
+
+def _integer(fields: Dict[str, Any], name: str,
+             default: Optional[int]) -> Optional[int]:
+    """``fields[name]`` if it is a JSON integer, ``default`` if absent
+    or null; ValueError otherwise (``true`` and ``1e12`` included)."""
+    value = fields.get(name)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name!r} must be a JSON integer, "
+                         f"not {json.dumps(value)}")
+    return value
+
+
+def parse_run_request(fields: Dict[str, Any],
+                      instructions: Optional[int] = None
+                      ) -> Tuple[RunSpec, int]:
+    """``(spec, priority)`` of one loose ``POST /v1/runs`` request.
+
+    The server and the gateway both parse through here, so they agree
+    on defaults (policy ``dcg``, tag ``baseline``, the profile's seed,
+    priority 0, and ``instructions`` when the request has none) and on
+    what they refuse: any ``ValueError`` is answered with a JSON 400.
+    """
+    try:
+        spec = make_spec(
+            benchmark=fields["benchmark"],
+            policy=fields.get("policy", "dcg"),
+            tag=fields.get("tag", "baseline"),
+            instructions=_integer(fields, "instructions", instructions),
+            seed=_integer(fields, "seed", None),
+            sample=fields.get("sample"))
+    except KeyError as exc:
+        raise ValueError(f"missing or unknown field: {exc}") from None
+    return spec, _integer(fields, "priority", 0)
 
 
 def validate_spec(spec: RunSpec) -> None:
@@ -123,17 +151,9 @@ def validate_spec(spec: RunSpec) -> None:
     config_from_tag(spec.tag)               # raises ValueError on bad tag
     if spec.instructions <= 0:
         raise ValueError("instructions must be positive")
-    if getattr(spec, "sample", None):
+    if spec.sample:
         from ..sim.sampling import SampleSpec
         SampleSpec.parse(spec.sample).validate(spec.instructions)
-
-
-def spec_fingerprint(spec: RunSpec,
-                     calibration: Optional[PowerCalibration] = None) -> str:
-    """The spec's disk-cache content hash — the service's dedup key."""
-    return fingerprint(config_from_tag(spec.tag), get_profile(spec.benchmark),
-                       spec.policy, spec.instructions, calibration, spec.seed,
-                       sample=getattr(spec, "sample", None))
 
 
 # -- jobs -------------------------------------------------------------------
@@ -374,7 +394,7 @@ class JobQueue:
         the same trace; without one, the job starts its own trace.
         """
         if key is None:
-            key = spec_fingerprint(spec, self.calibration)
+            key = spec.key(self.calibration)
         journal = get_journal()
         with self._cond:
             live = self._inflight.get(key)
@@ -447,7 +467,7 @@ class JobQueue:
             try:
                 spec = record.to_spec()
                 validate_spec(spec)
-                key = spec_fingerprint(spec, self.calibration)
+                key = spec.key(self.calibration)
             except (KeyError, TypeError, ValueError) as exc:
                 journal.emit("job.restore_skipped", job_id=record.id,
                              error=str(exc))

@@ -33,7 +33,6 @@ import os
 import re
 import threading
 import time
-from http.server import ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
@@ -46,9 +45,9 @@ from ..sim.cache import ResultCache, result_to_dict
 from ..sim.checkpoint import CHECKPOINT_DIR_ENV_VAR
 from ..sim.runner import ExperimentRunner
 from .client import DEADLINE_HEADER
-from .handler import JSONHandler
+from .handler import JSONHandler, JSONServer, serve_until_interrupted
 from .jobs import (Job, JobQueue, QueueClosed, QueueFull, batch_requests,
-                   make_spec)
+                   parse_run_request)
 from .persist import (QUEUE_JOURNAL_FILENAME, STATE_DIR_ENV_VAR,
                       QueueJournal)
 from .workers import WorkerPool
@@ -170,18 +169,7 @@ class SimulationService:
         :class:`~repro.service.jobs.QueueFull` under backpressure, and
         :class:`~repro.service.jobs.QueueClosed` once draining.
         """
-        try:
-            spec = make_spec(
-                benchmark=fields["benchmark"],
-                policy=fields.get("policy", "dcg"),
-                tag=fields.get("tag", "baseline"),
-                instructions=(fields.get("instructions")
-                              or self.runner.instructions),
-                seed=fields.get("seed"),
-                sample=fields.get("sample"))
-        except KeyError as exc:
-            raise ValueError(f"missing or unknown field: {exc}") from None
-        priority = int(fields.get("priority", 0))
+        spec, priority = parse_run_request(fields, self.runner.instructions)
         return self.queue.submit(spec, priority=priority,
                                  deadline_at=deadline_at)
 
@@ -376,7 +364,7 @@ class _Handler(JSONHandler):
                          "result": result_to_dict(job.result)})
 
 
-class ServiceServer(ThreadingHTTPServer):
+class ServiceServer(JSONServer):
     """Threading HTTP server bound to a :class:`SimulationService`.
 
     ``port=0`` binds an ephemeral port (tests); read it back from
@@ -384,30 +372,16 @@ class ServiceServer(ThreadingHTTPServer):
     loop only — call :meth:`SimulationService.stop` for the workers.
     """
 
-    daemon_threads = True
-
     def __init__(self, service: SimulationService,
                  host: str = "127.0.0.1", port: int = DEFAULT_PORT,
                  verbose: bool = False) -> None:
         self.service = service
-        self.verbose = verbose
-        super().__init__((host, port), _Handler)
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.server_address[0]}:{self.port}"
+        super().__init__((host, port), _Handler, verbose)
 
     def start_background(self) -> threading.Thread:
-        """Serve on a daemon thread (tests and embedded use)."""
+        """Start the service's workers, then serve on a daemon thread."""
         self.service.start()
-        thread = threading.Thread(target=self.serve_forever, daemon=True,
-                                  name="repro-service-http")
-        thread.start()
-        return thread
+        return super().start_background()
 
 
 def serve(service: SimulationService, host: str = "127.0.0.1",
@@ -417,33 +391,12 @@ def serve(service: SimulationService, host: str = "127.0.0.1",
 
     Ctrl-C / SIGTERM stop the HTTP loop, then shut the pool down
     gracefully: running jobs are re-queued, so every accepted job ends
-    the session either done or still queued — never lost.  Handlers
-    are registered explicitly because a backgrounded server (CI, shell
-    scripts) often inherits SIGINT as ignored.
+    the session either done or still queued — never lost.
     """
-    import signal
-
     server = ServiceServer(service, host=host, port=port, verbose=verbose)
     service.start()
-
-    def _interrupt(_signum, _frame) -> None:
-        raise KeyboardInterrupt
-
-    previous = []
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            previous.append((signum, signal.signal(signum, _interrupt)))
-        except (ValueError, OSError):        # not the main thread
-            pass
-    if ready is not None:
-        ready.set()
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
+        serve_until_interrupted(server, ready)
     finally:
-        for signum, handler in previous:
-            signal.signal(signum, handler)
-        server.server_close()
         service.stop()
     return service.queue.submitted

@@ -33,8 +33,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import (SpanContext, activate, current_context,
                            new_span_id, new_trace_id, span)
 from ..sim.cache import result_from_dict, result_to_dict
-from ..sim.checkpoint import (CheckpointStore, SimulationInterrupted,
-                              spec_checkpoint_key)
+from ..sim.checkpoint import CheckpointStore, SimulationInterrupted
 from ..sim.parallel import RunSpec, simulate_spec
 from ..sim.runner import ExperimentRunner
 from ..sim.simulator import SimulationResult
@@ -370,8 +369,7 @@ class WorkerPool:
             # means the compute below resumes mid-run; record the
             # provenance before it happens so the journal tells the
             # story even if this attempt dies too
-            key = spec_checkpoint_key(spec, self.runner.calibration)
-            snapshot = self.checkpoints.peek(key)
+            snapshot = self.checkpoints.peek(job.key)
             if snapshot is not None:
                 job.resumed_from_checkpoint = True
                 self._resumes.inc()
@@ -380,7 +378,7 @@ class WorkerPool:
                                    progress=snapshot,
                                    **job.event_fields())
                 if self.queue.persist is not None:
-                    self.queue.persist.record_checkpoint(job.id, key,
+                    self.queue.persist.record_checkpoint(job.id, job.key,
                                                          snapshot)
         start = time.perf_counter()
         try:
@@ -390,9 +388,8 @@ class WorkerPool:
             # snapshot at the last chunk/window boundary, so re-queue —
             # the job's next life resumes instead of restarting
             if self.queue.persist is not None and self.checkpoints.enabled:
-                key = spec_checkpoint_key(spec, self.runner.calibration)
                 self.queue.persist.record_checkpoint(
-                    job.id, key, self.checkpoints.peek(key))
+                    job.id, job.key, self.checkpoints.peek(job.key))
             self.queue.requeue(job)
             return
         except ShutdownRequested:

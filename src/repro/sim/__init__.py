@@ -4,12 +4,12 @@ the multiprocessing grid executor."""
 
 from .cache import ResultCache, fingerprint
 from .checkpoint import (CheckpointStore, PausableRun,
-                         SimulationInterrupted, run_resumable_spec)
+                         SimulationInterrupted, run_checkpointed)
 from .configs import (baseline_config, config_from_tag,
                       deep_pipeline_config, default_instructions)
 from .parallel import RunReport, RunSpec, default_jobs, execute_specs
 from .runner import ExperimentRunner
-from .sampling import SampledRun, SampleSpec, run_sampled_spec
+from .sampling import SampledRun, SampleSpec
 from .simulator import (BUILTIN_POLICIES, SimulationResult, Simulator,
                         make_policy)
 
@@ -34,6 +34,5 @@ __all__ = [
     "execute_specs",
     "fingerprint",
     "make_policy",
-    "run_resumable_spec",
-    "run_sampled_spec",
+    "run_checkpointed",
 ]

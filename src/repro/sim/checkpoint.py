@@ -32,24 +32,25 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-from typing import Any, Dict, Optional
+from itertools import islice
+from typing import Any, Dict, Iterator, Optional
 
 from ..obs.events import get_journal
 from ..pipeline.config import MachineConfig
 from ..pipeline.stats import SimStats
 from ..power.budget import BlockPowers, PowerCalibration
 from ..trace.stream import TraceStream
+from ..trace.uop import MicroOp
 from ..workloads.profiles import get_profile
 from ..workloads.synthetic import SyntheticTraceGenerator
 from .atomicfile import atomic_write
-from .cache import fingerprint
 from .configs import baseline_config, config_from_tag, default_instructions
 from .simulator import SimulationResult, assemble, build_result, \
     make_policy
 
 __all__ = ["CHECKPOINT_DIR_ENV_VAR", "CHECKPOINT_VERSION", "CheckpointStore",
            "PausableRun", "SimulationInterrupted", "checkpoint_chunk",
-           "run_resumable_spec", "spec_checkpoint_key"]
+           "replay_source", "run_checkpointed"]
 
 #: environment variable naming the checkpoint directory; unset disables
 #: checkpointing entirely (every store degrades to a no-op)
@@ -87,16 +88,16 @@ def checkpoint_chunk() -> int:
     return chunk
 
 
-def spec_checkpoint_key(spec: Any,
-                        calibration: Optional[PowerCalibration] = None
-                        ) -> str:
-    """Checkpoint key for a run spec — the same content hash the disk
-    cache and the service dedup use, so one fingerprint names a run
-    everywhere (cache entry, queue dedup, checkpoint file)."""
-    return fingerprint(config_from_tag(spec.tag),
-                       get_profile(spec.benchmark), spec.policy,
-                       spec.instructions, calibration, spec.seed,
-                       sample=getattr(spec, "sample", None))
+def replay_source(benchmark: str, seed: Optional[int],
+                  drawn: int) -> Iterator[MicroOp]:
+    """A fresh seeded trace source, fast-forwarded past its first
+    ``drawn`` micro-ops: the restore half of a snapshot's replay
+    position.  Replay only advances the generator's RNG; it touches no
+    cache, predictor or pipeline state."""
+    source = iter(SyntheticTraceGenerator(get_profile(benchmark),
+                                          seed=seed))
+    next(islice(source, drawn, drawn), None)
+    return source
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +242,14 @@ class PausableRun:
     Construction wires the run through
     :func:`~repro.sim.simulator.assemble`, as ``Simulator.run_benchmark``
     does, so a :class:`PausableRun` driven straight to the end produces
-    the same :class:`SimulationResult`.
+    the same :class:`SimulationResult`.  It shares the step protocol of
+    :func:`run_checkpointed` (``kind``, ``done``, ``step``, ``meta``,
+    ``state``/``resume``, ``result``) with
+    :class:`~repro.sim.sampling.SampledRun`.
     """
+
+    #: checkpoint kind of this run's snapshots
+    kind = "run"
 
     def __init__(self, benchmark: str, policy: str = "base",
                  instructions: Optional[int] = None, *,
@@ -283,6 +290,18 @@ class PausableRun:
             to_committed, self.instructions)
         return self.pipeline.run(max_instructions=target)
 
+    def step(self, chunk: int) -> bool:
+        """Simulate ``chunk`` more committed instructions; False when
+        the trace ran out and nothing more was committed."""
+        before = self.committed
+        self.advance(before + chunk)
+        return self.committed > before
+
+    def meta(self) -> Dict[str, int]:
+        """Progress recorded beside a snapshot (``CheckpointStore.peek``)."""
+        return {"committed": self.committed,
+                "instructions": self.instructions}
+
     def state(self) -> Dict[str, Any]:
         """Picklable snapshot; feed to :meth:`resume` (via a
         :class:`CheckpointStore` round-trip or directly)."""
@@ -306,9 +325,7 @@ class PausableRun:
 
         The pipeline and accountant come back from the pickle (one
         object graph, so the observer binding survives); the trace
-        source is re-created from the seed and fast-replayed to the
-        recorded draw position — replay only advances the generator's
-        RNG, it does not touch the (snapshotted) caches or predictor.
+        source is re-created by :func:`replay_source`.
         """
         run = cls.__new__(cls)
         run.benchmark = state["benchmark"]
@@ -318,12 +335,8 @@ class PausableRun:
         run.calibration = state["calibration"]
         run.pipeline = state["pipeline"]
         run.accountant = state["accountant"]
-        generator = SyntheticTraceGenerator(get_profile(run.benchmark),
-                                            seed=run.seed)
-        source = iter(generator)
-        for _ in range(state["drawn"]):
-            next(source)
-        run.pipeline.stream.rebind(source)
+        run.pipeline.stream.rebind(
+            replay_source(run.benchmark, run.seed, state["drawn"]))
         return run
 
     def result(self) -> SimulationResult:
@@ -332,64 +345,59 @@ class PausableRun:
 
 
 # ---------------------------------------------------------------------------
-# resumable spec execution (the service/CLI entry point)
+# the checkpointed driver (the service/CLI entry point)
 # ---------------------------------------------------------------------------
 
-def run_resumable_spec(spec: Any,
-                       calibration: Optional[PowerCalibration] = None,
-                       store: Optional[CheckpointStore] = None,
-                       stop: Optional[Any] = None,
-                       chunk: Optional[int] = None) -> SimulationResult:
-    """Run a plain spec in checkpointed chunks.
+def run_checkpointed(spec: Any,
+                     calibration: Optional[PowerCalibration] = None,
+                     store: Optional[CheckpointStore] = None,
+                     stop: Optional[Any] = None,
+                     chunk: Optional[int] = None) -> SimulationResult:
+    """Run a spec step by step, snapshotting between steps.
 
-    Loads an existing checkpoint for the spec's fingerprint (resuming
-    mid-run), simulates ``chunk`` committed instructions at a time,
-    snapshots between chunks, and discards the checkpoint on
-    completion.  ``stop`` is an optional ``threading.Event``-like
-    object polled between chunks; when set, the current state is saved
-    and :class:`SimulationInterrupted` raised so the caller can
-    re-queue instead of losing the work.
+    A sampled spec steps one :class:`~repro.sim.sampling.SampledRun`
+    window at a time (checkpoint kind ``"sampled"``); a plain one steps
+    ``chunk`` committed instructions of a :class:`PausableRun` (kind
+    ``"run"``).  An existing checkpoint under the spec's key resumes
+    the run mid-way; completion discards it.  ``stop`` is an optional
+    ``threading.Event``-like object polled between steps; when set,
+    the current state is saved and :class:`SimulationInterrupted`
+    raised, so the caller can re-queue instead of losing the work.
     """
+    if spec.sample:
+        from .sampling import SampledRun      # sampling imports this module
+        run_type, args = SampledRun, (spec.sample,)
+    else:
+        run_type, args = PausableRun, ()
+    kind = run_type.kind
     store = store if store is not None else CheckpointStore()
     chunk = chunk or checkpoint_chunk()
-    key = spec_checkpoint_key(spec, calibration)
+    key = spec.key(calibration)
     journal = get_journal()
-    run: Optional[PausableRun] = None
-    state = store.load(key, kind="run")
+    ident = {"strategy": kind, "key": key, "benchmark": spec.benchmark,
+             "policy": spec.policy}
+    run = None
+    state = store.load(key, kind=kind)
     if state is not None:
         try:
-            run = PausableRun.resume(state)
+            run = run_type.resume(state)
         except Exception:                    # noqa: BLE001 - stale state
             store.discard(key)
-            run = None
         else:
-            journal.emit("checkpoint.resume", strategy="run", key=key,
-                         benchmark=spec.benchmark, policy=spec.policy,
-                         committed=run.committed,
-                         instructions=run.instructions)
+            journal.emit("checkpoint.resume", **ident, **run.meta())
     if run is None:
-        run = PausableRun(spec.benchmark, spec.policy, spec.instructions,
-                          config=config_from_tag(spec.tag),
-                          calibration=calibration, seed=spec.seed)
+        run = run_type(spec.benchmark, spec.policy, spec.instructions,
+                       *args, config=config_from_tag(spec.tag),
+                       calibration=calibration, seed=spec.seed)
     while not run.done:
         if stop is not None and stop.is_set():
-            store.save(key, "run", run.state(),
-                       meta={"committed": run.committed,
-                             "instructions": run.instructions})
+            store.save(key, kind, run.state(), meta=run.meta())
             raise SimulationInterrupted(
-                f"stopped at {run.committed}/{run.instructions} "
-                "committed instructions; state checkpointed")
-        before = run.committed
-        run.advance(min(run.committed + chunk, run.instructions))
-        if run.committed == before:
+                f"stopped at {run.meta()}; state checkpointed")
+        if not run.step(chunk):
             break                    # trace exhausted early: just finish
-        if not run.done:
-            if store.save(key, "run", run.state(),
-                          meta={"committed": run.committed,
-                                "instructions": run.instructions}):
-                journal.emit("checkpoint.save", strategy="run", key=key,
-                             benchmark=spec.benchmark, policy=spec.policy,
-                             committed=run.committed,
-                             instructions=run.instructions)
+        if not run.done and store.save(key, kind, run.state(),
+                                       meta=run.meta()):
+            journal.emit("checkpoint.save", **ident, **run.meta())
     store.discard(key)
     return run.result()

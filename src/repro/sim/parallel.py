@@ -20,9 +20,12 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..obs.events import get_journal
-from ..obs.sampling import PipelineSampler, sampling_enabled
+from ..obs.cycle_sampler import PipelineSampler, sampling_enabled
 from ..obs.tracing import SpanContext, activate, current_context, span
 from ..power.budget import PowerCalibration
+from ..workloads.profiles import get_profile
+from .cache import fingerprint
+from .checkpoint import CheckpointStore, checkpoint_chunk, run_checkpointed
 from .configs import config_from_tag
 from .simulator import SimulationResult, Simulator
 
@@ -50,6 +53,31 @@ class RunSpec:
     instructions: int
     seed: Optional[int] = None
     sample: Optional[str] = None
+
+    @classmethod
+    def resolve(cls, benchmark: str, policy: str, tag: str,
+                instructions: int, seed: Optional[int] = None,
+                sample: Optional[str] = None) -> "RunSpec":
+        """The spec for a cell as a caller names it: the profile's
+        canonical name, and its own seed unless ``seed`` overrides it.
+
+        Every producer of specs (the runner, the service's request
+        parser, the gateway) goes through here, so one request names
+        one run — and one :meth:`key` — wherever it is made.
+        """
+        profile = get_profile(benchmark)        # raises KeyError with names
+        return cls(tag=tag, benchmark=profile.name, policy=policy,
+                   instructions=instructions,
+                   seed=profile.seed if seed is None else seed,
+                   sample=str(sample) if sample is not None else None)
+
+    def key(self, calibration: Optional[PowerCalibration] = None) -> str:
+        """Content hash naming this run everywhere: its result-cache
+        entry, the service's dedup key and its checkpoint file."""
+        return fingerprint(config_from_tag(self.tag),
+                           get_profile(self.benchmark), self.policy,
+                           self.instructions, calibration, self.seed,
+                           sample=self.sample)
 
 
 @dataclass
@@ -117,27 +145,20 @@ def _run_spec_inner(spec: RunSpec,
                     sampler: Optional[PipelineSampler]) -> SimulationResult:
     """Dispatch one spec to the right execution strategy.
 
-    Sampled specs go through :func:`~repro.sim.sampling.run_sampled_spec`
-    (interval sampling + window-boundary checkpoints); long plain runs
-    with a checkpoint store configured go through
-    :func:`~repro.sim.checkpoint.run_resumable_spec` (chunked with
-    snapshots between chunks); everything else takes the original
-    straight-through path.  Imports are deferred so the common path —
-    and the package import graph — never touches the sampling module.
+    Sampled specs, and long plain runs with a checkpoint store
+    configured, go through :func:`~repro.sim.checkpoint.run_checkpointed`
+    (one window or chunk at a time, snapshots between steps);
+    everything else takes the original straight-through path.
     """
     # the pool path passes a prebuilt Simulator but no calibration;
     # recover it so checkpoint keys and power numbers stay consistent
     if calibration is None and simulator is not None:
         calibration = simulator.calibration
-    if getattr(spec, "sample", None):
-        from .sampling import run_sampled_spec
-        return run_sampled_spec(spec, calibration, stop=stop)
-    from .checkpoint import CheckpointStore, checkpoint_chunk, \
-        run_resumable_spec
+    if spec.sample:
+        return run_checkpointed(spec, calibration, stop=stop)
     store = CheckpointStore()
     if store.enabled and spec.instructions >= 2 * checkpoint_chunk():
-        return run_resumable_spec(spec, calibration, store=store,
-                                  stop=stop)
+        return run_checkpointed(spec, calibration, store=store, stop=stop)
     sim = simulator or Simulator(config_from_tag(spec.tag), calibration)
     return sim.run_benchmark(spec.benchmark, spec.policy,
                              instructions=spec.instructions,
@@ -155,7 +176,7 @@ def simulate_spec(spec: RunSpec,
     The single sim-level observability chokepoint: with a journal
     configured it runs inside a ``sim`` span and emits ``sim.start`` /
     ``sim.finish`` (or ``sim.error``) events; with ``REPRO_SAMPLE`` set
-    it attaches a :class:`~repro.obs.sampling.PipelineSampler` and
+    it attaches a :class:`~repro.obs.cycle_sampler.PipelineSampler` and
     emits its histograms as a ``sim.sample`` event.  With neither, the
     original zero-instrumentation path runs.
 
@@ -167,14 +188,14 @@ def simulate_spec(spec: RunSpec,
     journal = get_journal()
     # the per-cycle sampler hooks a single pipeline's observer list, so
     # it only applies to the straight-through strategy
-    sampling = (sampling_enabled() and not getattr(spec, "sample", None))
+    sampling = sampling_enabled() and not spec.sample
     if not journal.enabled and not sampling:
         return _run_spec_inner(spec, calibration, simulator, stop, None)
     ident = {"benchmark": spec.benchmark, "policy": spec.policy,
              "tag": spec.tag}
     with span("sim", **ident):
         journal.emit("sim.start", instructions=spec.instructions,
-                     seed=spec.seed, sample=getattr(spec, "sample", None),
+                     seed=spec.seed, sample=spec.sample,
                      **ident)
         sampler = PipelineSampler() if sampling else None
         start = time.perf_counter()

@@ -16,10 +16,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.interface import GatingPolicy
 from ..obs.events import get_journal
-from ..pipeline.config import MachineConfig
 from ..power.budget import PowerCalibration
-from ..workloads.profiles import get_profile
-from .cache import ResultCache, fingerprint
+from .cache import ResultCache
 from .configs import config_from_tag, default_instructions
 from .parallel import (ProgressFn, RunReport, RunSpec, execute_specs,
                        simulate_spec)
@@ -89,46 +87,30 @@ class ExperimentRunner:
             SampleSpec.parse(sample).validate(self.instructions)
         self.sample = sample
         self._simulators: Dict[str, Simulator] = {}
-        self._cache: Dict[Tuple[str, str, str], SimulationResult] = {}
-        #: exact-spec memory for cached_spec/memoise_spec, keyed by the
-        #: disk cache's fingerprint (budget, seed and sample included)
-        self._by_fingerprint: Dict[str, SimulationResult] = {}
+        #: the one result memo, keyed by the exact spec (budget, seed
+        #: and sample plan included), so a lookup can only ever answer
+        #: the run that was asked for
+        self._memo: Dict[RunSpec, SimulationResult] = {}
 
     # -- configurations ---------------------------------------------------
-
-    def _make_config(self, tag: str) -> MachineConfig:
-        return config_from_tag(tag)
 
     def simulator(self, tag: str = "baseline") -> Simulator:
         if tag not in self._simulators:
             self._simulators[tag] = Simulator(
-                self._make_config(tag), self.calibration)
+                config_from_tag(tag), self.calibration)
         return self._simulators[tag]
 
     # -- cache plumbing ---------------------------------------------------
 
     def _spec(self, benchmark: str, policy: str, tag: str) -> RunSpec:
-        profile = get_profile(benchmark)
-        return RunSpec(tag=tag, benchmark=profile.name, policy=policy,
-                       instructions=self.instructions, seed=profile.seed,
-                       sample=self.sample)
-
-    def _fingerprint(self, spec: RunSpec) -> str:
-        return fingerprint(self._make_config(spec.tag),
-                           get_profile(spec.benchmark), spec.policy,
-                           spec.instructions, self.calibration, spec.seed,
-                           sample=spec.sample)
+        """This runner's spec for one grid cell."""
+        return RunSpec.resolve(benchmark, policy, tag, self.instructions,
+                               sample=self.sample)
 
     def _report(self, spec: RunSpec, seconds: float, source: str,
                 batch_size: int = 1) -> None:
         if self.progress is not None:
             self.progress(RunReport(spec, seconds, source, batch_size))
-
-    def _memoise(self, key: Tuple[str, str, str], spec: RunSpec,
-                 result: SimulationResult, persist: bool) -> None:
-        self._cache[key] = result
-        if persist:
-            self.cache.put(self._fingerprint(spec), result)
 
     @staticmethod
     def _emit_cache(kind: str, spec: RunSpec,
@@ -137,58 +119,48 @@ class ExperimentRunner:
         get_journal().emit(kind, layer=layer, benchmark=spec.benchmark,
                            policy=spec.policy, tag=spec.tag)
 
-    def cached(self, benchmark: str, policy: str, tag: str = "baseline"
-               ) -> Optional[Tuple[SimulationResult, str]]:
-        """Memory-then-disk lookup of this runner's own spec for the
-        cell, without simulating.
+    def _lookup(self, spec: RunSpec, disk: bool = True
+                ) -> Optional[Tuple[SimulationResult, str]]:
+        """Memory-then-disk lookup of exactly ``spec``.
 
         Returns ``(result, source)`` with source ``"memory"`` or
-        ``"disk"`` (disk hits are promoted into memory), or None on a
-        full miss.  This is the cache half of :meth:`run`.
+        ``"disk"`` (disk hits are promoted into memory and reported to
+        ``progress``; memory hits are free and stay silent), or None on
+        a miss.  ``disk=False`` consults memory only, for factory runs
+        whose configuration no fingerprint can see.
         """
-        key = (tag, benchmark, policy)
-        if key in self._cache:
-            if get_journal().enabled:
-                self._emit_cache("cache.hit", self._spec(benchmark, policy,
-                                                         tag), "memory")
-            return self._cache[key], "memory"
-        hit = self.cached_spec(self._spec(benchmark, policy, tag))
-        if hit is not None:
-            self._cache[key] = hit[0]
-        return hit
-
-    def cached_spec(self, spec: RunSpec
-                    ) -> Optional[Tuple[SimulationResult, str]]:
-        """Memory-then-disk lookup of exactly ``spec``, whatever its
-        budget, seed or sample plan.
-
-        Both layers are keyed by the spec's fingerprint, so the
-        service's worker pool — which serves specs of any budget —
-        never answers one request with another's result.
-        """
-        digest = self._fingerprint(spec)
-        result = self._by_fingerprint.get(digest)
+        result = self._memo.get(spec)
         if result is not None:
             if get_journal().enabled:
                 self._emit_cache("cache.hit", spec, "memory")
             return result, "memory"
-        disk = self.cache.get(digest)
-        if disk is not None:
-            self._by_fingerprint[digest] = disk
-            self._emit_cache("cache.hit", spec, "disk")
-            return disk, "disk"
-        self._emit_cache("cache.miss", spec)
-        return None
+        if not disk:
+            return None
+        result = self.cache.get(spec.key(self.calibration))
+        if result is None:
+            self._emit_cache("cache.miss", spec)
+            return None
+        self._memo[spec] = result
+        self._emit_cache("cache.hit", spec, "disk")
+        self._report(spec, 0.0, "disk")
+        return result, "disk"
+
+    def cached_spec(self, spec: RunSpec
+                    ) -> Optional[Tuple[SimulationResult, str]]:
+        """Memory-then-disk lookup of exactly ``spec``, whatever its
+        budget, seed or sample plan, without simulating.
+
+        The service's worker pool — which serves specs of any budget —
+        asks through here, so it never answers one request with
+        another's result.
+        """
+        return self._lookup(spec)
 
     def memoise_spec(self, spec: RunSpec, result: SimulationResult) -> None:
-        """Record an externally computed result in memory and on disk,
-        under the spec's fingerprint (see :meth:`cached_spec`)."""
-        digest = self._fingerprint(spec)
-        self._by_fingerprint[digest] = result
-        self.cache.put(digest, result)
-        if spec == self._spec(spec.benchmark, spec.policy, spec.tag):
-            # also this runner's own cell, as run()/cached() key it
-            self._cache[(spec.tag, spec.benchmark, spec.policy)] = result
+        """Record a computed result in memory and on disk under the
+        spec (see :meth:`cached_spec`)."""
+        self._memo[spec] = result
+        self.cache.put(spec.key(self.calibration), result)
 
     def _execute(self, specs: Sequence[RunSpec],
                  jobs: int) -> List[SimulationResult]:
@@ -225,25 +197,13 @@ class ExperimentRunner:
             raise ValueError(
                 f"policy name {policy!r} is reserved for the built-in "
                 "policy; run a custom factory under a distinct name")
-        key = (tag, benchmark, policy)
-        if key in self._cache:
-            if get_journal().enabled:
-                self._emit_cache("cache.hit",
-                                 self._spec(benchmark, policy, tag),
-                                 "memory")
-            return self._cache[key]
         spec = self._spec(benchmark, policy, tag)
-        if policy_factory is None:
-            disk = self.cache.get(self._fingerprint(spec))
-            if disk is not None:
-                self._cache[key] = disk
-                self._emit_cache("cache.hit", spec, "disk")
-                self._report(spec, 0.0, "disk")
-                return disk
-            self._emit_cache("cache.miss", spec)
+        hit = self._lookup(spec, disk=policy_factory is None)
+        if hit is not None:
+            return hit[0]
         if self.remote is not None and policy_factory is None:
             result = self._execute([spec], jobs=1)[0]
-            self._memoise(key, spec, result, persist=True)
+            self.memoise_spec(spec, result)
             return result
         sim = self.simulator(tag)
         start = time.perf_counter()
@@ -256,7 +216,10 @@ class ExperimentRunner:
                                        instructions=self.instructions,
                                        seed=spec.seed)
         self._report(spec, time.perf_counter() - start, "run")
-        self._memoise(key, spec, result, persist=policy_factory is None)
+        if policy_factory is None:
+            self.memoise_spec(spec, result)
+        else:
+            self._memo[spec] = result
         return result
 
     # -- batched runs -----------------------------------------------------
@@ -276,52 +239,18 @@ class ExperimentRunner:
         Memory hits are returned as-is, disk hits are loaded, and the
         remaining runs are fanned out across ``jobs`` worker processes
         (``self.jobs`` by default, serial when 1).  Results come back
-        in request order regardless of worker scheduling.
+        in request order regardless of worker scheduling; a request
+        repeated within the batch is looked up and simulated once.
         """
         jobs = self.jobs if jobs is None else jobs
-        normalised = [self._normalise(r) for r in requests]
-        # memo keys share run()'s (tag, benchmark, policy) ordering
-        keys = [(tag, benchmark, policy)
-                for benchmark, policy, tag in normalised]
-        results: List[Optional[SimulationResult]] = [None] * len(keys)
-        todo: List[Tuple[int, Tuple[str, str, str], RunSpec]] = []
-        pending: Dict[Tuple[str, str, str], List[int]] = {}
-        journal = get_journal()
-        for i, (key, (benchmark, policy, tag)) in enumerate(
-                zip(keys, normalised)):
-            if key in self._cache:
-                # silent: memory hits are free and would flood progress
-                if journal.enabled:
-                    self._emit_cache("cache.hit",
-                                     self._spec(benchmark, policy, tag),
-                                     "memory")
-                results[i] = self._cache[key]
-                continue
-            if key in pending:        # duplicate request in this batch
-                pending[key].append(i)
-                continue
-            pending[key] = [i]
-            spec = self._spec(benchmark, policy, tag)
-            disk = self.cache.get(self._fingerprint(spec))
-            if disk is not None:
-                self._cache[key] = disk
-                results[i] = disk
-                self._emit_cache("cache.hit", spec, "disk")
-                self._report(spec, 0.0, "disk")
-                continue
-            self._emit_cache("cache.miss", spec)
-            todo.append((i, key, spec))
-        if todo:
-            fresh = self._execute([spec for _i, _key, spec in todo],
-                                  jobs=jobs)
-            for (i, key, spec), result in zip(todo, fresh):
-                results[i] = result
-                self._memoise(key, spec, result, persist=True)
-        for key, indices in pending.items():
-            for i in indices:
-                if results[i] is None:
-                    results[i] = self._cache[key]
-        return results  # type: ignore[return-value]
+        specs = [self._spec(*self._normalise(r)) for r in requests]
+        misses = [spec for spec in dict.fromkeys(specs)
+                  if self._lookup(spec) is None]
+        if misses:
+            for spec, result in zip(misses,
+                                    self._execute(misses, jobs=jobs)):
+                self.memoise_spec(spec, result)
+        return [self._memo[spec] for spec in specs]
 
     def prefetch(self, requests: Sequence[Request],
                  jobs: Optional[int] = None) -> None:

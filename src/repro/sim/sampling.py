@@ -33,25 +33,22 @@ drawn count and continues bit-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..frontend.branch_predictor import BranchPredictor
 from ..memory.hierarchy import CacheHierarchy
-from ..obs.events import get_journal
 from ..pipeline.config import MachineConfig
 from ..pipeline.stats import SimStats
 from ..power.budget import BlockPowers, PowerCalibration
 from ..trace.stream import TraceStream
 from ..workloads.profiles import get_profile
 from ..workloads.synthetic import SyntheticTraceGenerator
-from .checkpoint import CheckpointStore, SimulationInterrupted, \
-    spec_checkpoint_key
-from .configs import baseline_config, config_from_tag, default_instructions
+from .checkpoint import replay_source
+from .configs import baseline_config, default_instructions
 from .simulator import SimulationResult, assemble, build_result, \
     make_policy
 
-__all__ = ["SampleSpec", "SampledRun", "aggregate_windows",
-           "run_sampled_spec"]
+__all__ = ["SampleSpec", "SampledRun", "aggregate_windows"]
 
 
 @dataclass(frozen=True)
@@ -235,7 +232,7 @@ def aggregate_windows(benchmark: str, policy: str,
 
 class SampledRun:
     """Fast-forward / simulate-window driver, checkpointable between
-    windows.
+    windows by :func:`~repro.sim.checkpoint.run_checkpointed`.
 
     The microarchitectural state that persists across the whole run —
     cache hierarchy and branch predictor — is owned here and injected
@@ -244,6 +241,9 @@ class SampledRun:
     the standard sampling warm-up compromise (caches/predictor dominate
     long-lived state by orders of magnitude).
     """
+
+    #: checkpoint kind of this run's snapshots
+    kind = "sampled"
 
     def __init__(self, benchmark: str, policy: str = "dcg",
                  instructions: Optional[int] = None,
@@ -339,23 +339,16 @@ class SampledRun:
         self.next_window += 1
         return result
 
-    def run(self, on_window: Optional[Callable[["SampledRun"], None]]
-            = None,
-            stop: Optional[Any] = None) -> SimulationResult:
-        """Simulate every remaining window; the weighted aggregate.
+    def step(self, chunk: Optional[int] = None) -> bool:
+        """One window (the plan fixes window boundaries, so ``chunk``
+        is unused); always progresses."""
+        self.run_window()
+        return True
 
-        ``on_window`` fires after each completed window (the
-        checkpoint hook); ``stop`` is polled between windows and raises
-        :class:`~repro.sim.checkpoint.SimulationInterrupted` when set.
-        """
+    def run(self) -> SimulationResult:
+        """Simulate every remaining window; the weighted aggregate."""
         while not self.done:
-            if stop is not None and stop.is_set():
-                raise SimulationInterrupted(
-                    f"stopped after {self.next_window}/"
-                    f"{self.sample.windows} sample windows")
             self.run_window()
-            if on_window is not None:
-                on_window(self)
         return self.result()
 
     def result(self) -> SimulationResult:
@@ -364,6 +357,10 @@ class SampledRun:
                                  self.instructions)
 
     # -- checkpointing ----------------------------------------------------
+
+    def meta(self) -> Dict[str, int]:
+        """Progress recorded beside a snapshot (``CheckpointStore.peek``)."""
+        return {"window": self.next_window, "windows": self.sample.windows}
 
     def state(self) -> Dict[str, Any]:
         """Picklable snapshot at a window boundary."""
@@ -386,9 +383,10 @@ class SampledRun:
     def resume(cls, state: Dict[str, Any]) -> "SampledRun":
         """Rebuild from :meth:`state`; continues bit-identically.
 
-        The generator replay advances only the trace RNG — the warmed
-        hierarchy/predictor come from the snapshot, so replay must not
-        (and does not) touch them.
+        The warmed hierarchy/predictor come from the snapshot; the trace
+        source is re-created by
+        :func:`~repro.sim.checkpoint.replay_source`, which advances only
+        the trace RNG.
         """
         run = cls.__new__(cls)
         run.benchmark = state["benchmark"]
@@ -403,68 +401,6 @@ class SampledRun:
         run.predictor = state["predictor"]
         run.windows = list(state["windows"])
         run.next_window = state["next_window"]
-        generator = SyntheticTraceGenerator(get_profile(run.benchmark),
-                                            seed=run.seed)
-        source = iter(generator)
-        for _ in range(state["drawn"]):
-            next(source)
-        run._source = source
+        run._source = replay_source(run.benchmark, run.seed, state["drawn"])
         run._drawn = state["drawn"]
         return run
-
-
-# ---------------------------------------------------------------------------
-# spec entry point (service / CLI / parallel runner)
-# ---------------------------------------------------------------------------
-
-def run_sampled_spec(spec: Any,
-                     calibration: Optional[PowerCalibration] = None,
-                     store: Optional[CheckpointStore] = None,
-                     stop: Optional[Any] = None) -> SimulationResult:
-    """Run a sampled spec, checkpointing at every window boundary.
-
-    With a checkpoint store configured (``REPRO_CHECKPOINT_DIR`` or an
-    explicit ``store``), a matching snapshot resumes from its last
-    completed window — a crashed/killed/drained job never re-simulates
-    finished intervals.  On completion the checkpoint is discarded.
-    """
-    store = store if store is not None else CheckpointStore()
-    key = spec_checkpoint_key(spec, calibration)
-    journal = get_journal()
-    ident = {"benchmark": spec.benchmark, "policy": spec.policy,
-             "key": key}
-    run: Optional[SampledRun] = None
-    state = store.load(key, kind="sampled")
-    if state is not None:
-        try:
-            run = SampledRun.resume(state)
-        except Exception:                    # noqa: BLE001 - stale state
-            store.discard(key)
-            run = None
-        else:
-            journal.emit("checkpoint.resume", strategy="sampled",
-                         window=run.next_window,
-                         windows=run.sample.windows, **ident)
-    if run is None:
-        run = SampledRun(spec.benchmark, spec.policy, spec.instructions,
-                         spec.sample, config=config_from_tag(spec.tag),
-                         calibration=calibration, seed=spec.seed)
-
-    def checkpoint(current: SampledRun) -> None:
-        if current.done:
-            return                   # about to aggregate; nothing to save
-        if store.save(key, "sampled", current.state(),
-                      meta={"window": current.next_window,
-                            "windows": current.sample.windows}):
-            journal.emit("checkpoint.save", strategy="sampled",
-                         window=current.next_window,
-                         windows=current.sample.windows, **ident)
-
-    hook = checkpoint if store.enabled else None
-    try:
-        result = run.run(on_window=hook, stop=stop)
-    except SimulationInterrupted:
-        # the last completed window is already checkpointed; just stop
-        raise
-    store.discard(key)
-    return result

@@ -3,7 +3,7 @@
 import json
 
 from repro.obs import configure_journal, read_events
-from repro.obs.sampling import sampling_enabled
+from repro.obs.cycle_sampler import sampling_enabled
 from repro.service.jobs import make_spec
 from repro.sim.parallel import simulate_spec
 

@@ -16,7 +16,7 @@ import time
 from repro.faults import configure_faults, get_plan
 from repro.obs import configure_journal, read_events, span
 from repro.service import ServiceClient
-from repro.service.jobs import make_spec, spec_fingerprint
+from repro.service.jobs import make_spec
 from repro.sim.cache import result_to_dict
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -62,8 +62,7 @@ def test_golden_grid_bit_identical_and_simulated_once(make_fleet):
             "drifted from the single-node golden")
 
     # each spec simulated exactly once, on the shard the ring names
-    keys = [spec_fingerprint(spec, fleet.gateway.calibration)
-            for spec in specs]
+    keys = [spec.key(fleet.gateway.calibration) for spec in specs]
     expected = fleet.gateway.ring.spread(keys)
     assert fleet.simulated() == [expected[server.url]
                                  for server in fleet.shard_servers]

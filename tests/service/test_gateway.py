@@ -14,7 +14,8 @@ from repro.service import (BackpressureError, Gateway, GatewayServer,
 from repro.service.workers import ShutdownRequested
 from repro.sim import ResultCache
 
-from .conftest import MALFORMED_LENGTHS, raw_request
+from .conftest import (MALFORMED_LENGTHS, NON_INTEGER_FIELDS,
+                       post_run_text, raw_request)
 
 INSTRUCTIONS = 300
 
@@ -117,6 +118,15 @@ def test_malformed_content_length_is_a_json_400(fleet):
         assert status == 400
         assert "Content-Length" in payload["error"]
     assert fleet.simulated() == [0, 0]
+
+
+@pytest.mark.parametrize("fields", list(NON_INTEGER_FIELDS.values()),
+                         ids=list(NON_INTEGER_FIELDS))
+def test_non_integer_fields_are_a_json_400(fleet, fields):
+    status, payload = post_run_text(fleet.url, fields)
+    assert status == 400
+    assert "must be a JSON integer" in payload["error"]
+    assert [shard.queue.submitted for shard in fleet.shards] == [0, 0]
 
 
 def test_unknown_job_is_a_404(fleet):

@@ -5,8 +5,7 @@ import threading
 import pytest
 
 from repro.service.jobs import (JobQueue, JobState, QueueClosed,
-                                QueueFull, make_spec,
-                                spec_fingerprint, validate_spec)
+                                QueueFull, make_spec, validate_spec)
 from repro.sim.parallel import RunSpec
 
 
@@ -44,12 +43,15 @@ def test_validate_spec_messages():
 
 
 def test_fingerprint_matches_runner_fingerprint():
-    """The dedup key must alias the disk cache's content hash."""
+    """The dedup key must alias the disk cache's content hash: a wire
+    request resolves to the runner's own spec, and the queue keys it
+    by that spec's key."""
     from repro.sim.runner import ExperimentRunner
     runner = ExperimentRunner(instructions=500)
     spec = runner._spec("gzip", "dcg", "baseline")
-    assert spec_fingerprint(spec, runner.calibration) == \
-        runner._fingerprint(spec)
+    assert _spec() == spec
+    job, _created = JobQueue(calibration=runner.calibration).submit(_spec())
+    assert job.key == spec.key(runner.calibration)
 
 
 # -- dedup ------------------------------------------------------------------

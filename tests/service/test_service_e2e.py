@@ -15,7 +15,8 @@ from repro.service.workers import ShutdownRequested
 from repro.sim import ExperimentRunner, ResultCache, Simulator
 from repro.sim.cache import result_to_dict
 
-from .conftest import MALFORMED_LENGTHS, raw_request
+from .conftest import (MALFORMED_LENGTHS, NON_INTEGER_FIELDS,
+                       post_run_text, raw_request)
 
 INSTRUCTIONS = 400
 
@@ -172,6 +173,16 @@ def test_malformed_content_length_is_a_json_400(service_url):
         assert "Content-Length" in payload["error"]
     assert service.queue.depth == 0
     assert ServiceClient(url).healthz()["status"] == "ok"
+
+
+@pytest.mark.parametrize("fields", list(NON_INTEGER_FIELDS.values()),
+                         ids=list(NON_INTEGER_FIELDS))
+def test_non_integer_fields_are_a_json_400(service_url, fields):
+    url, service = service_url
+    status, payload = post_run_text(url, fields)
+    assert status == 400
+    assert "must be a JSON integer" in payload["error"]
+    assert service.queue.submitted == 0
 
 
 def test_results_are_keyed_by_the_full_spec(service_url):

@@ -1,5 +1,6 @@
-"""Checkpoint store and pausable runs: bit-identity, corruption
-tolerance, interrupt/resume via the spec entry point."""
+"""Checkpoint store, pausable runs and the checkpointed driver:
+bit-identity, corruption tolerance, interrupt/resume of plain and
+sampled specs."""
 
 import hashlib
 import os
@@ -8,13 +9,13 @@ import time
 
 import pytest
 
+from repro.obs import configure_journal, read_events
 from repro.sim import (CheckpointStore, PausableRun, SimulationInterrupted,
-                       Simulator, run_resumable_spec)
+                       Simulator, run_checkpointed)
 from repro.sim.atomicfile import STALE_TMP_SECONDS
 from repro.sim.cache import result_to_dict
 from repro.sim.checkpoint import (CHECKPOINT_DIR_ENV_VAR, CHUNK_ENV_VAR,
-                                  DEFAULT_CHUNK, checkpoint_chunk,
-                                  spec_checkpoint_key)
+                                  DEFAULT_CHUNK, checkpoint_chunk)
 from repro.sim.parallel import RunSpec
 
 INSTRUCTIONS = 2_000
@@ -178,10 +179,20 @@ def test_checkpoint_chunk_env(monkeypatch):
 
 
 def test_spec_checkpoint_key_isolates_sample_plans():
-    plain = spec_checkpoint_key(_spec())
-    sampled = spec_checkpoint_key(_spec(sample="4x100"))
-    other = spec_checkpoint_key(_spec(sample="5x100"))
+    plain = _spec().key()
+    sampled = _spec(sample="4x100").key()
+    other = _spec(sample="5x100").key()
     assert len({plain, sampled, other}) == 3
+
+
+def test_run_keys_are_pinned():
+    """``RunSpec.key`` names cache entries, dedup keys and checkpoint
+    files on disk: these values must never move."""
+    assert RunSpec.resolve("gzip", "dcg", "baseline", 10_000).key() == \
+        "cb47b8edf9ee2bcffb9a0b3487bcc40e0607811f81ea1b9e188a8b28cec77c92"
+    assert RunSpec.resolve("gzip", "dcg", "baseline", 1_000_000,
+                           sample="10x10000").key() == \
+        "5b6ad2ef6d19cd4a4cc3e33615dcd706ecfc248eec093c55e4938901be6a81b9"
 
 
 # -- PausableRun ------------------------------------------------------------
@@ -216,27 +227,51 @@ def test_snapshot_resume_is_bit_identical(each_core):
         result_to_dict(reference.result())
 
 
-def test_run_resumable_spec_interrupt_then_resume(tmp_path):
+# -- the checkpointed driver ------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["run", "sampled"])
+def test_driver_interrupt_then_resume(tmp_path, kind):
+    """One driver, two run kinds: stop at a step boundary, resume from
+    the checkpoint, and finish byte-identical to an uninterrupted run."""
+    if kind == "run":
+        spec = _spec()
+    else:
+        spec = _spec(instructions=4_000, sample="4x500")
+    key = spec.key()
     store = _store(tmp_path)
-    spec = _spec()
-    key = spec_checkpoint_key(spec)
+    uninterrupted = run_checkpointed(spec, store=CheckpointStore(),
+                                     chunk=600)
+    events = tmp_path / "events.jsonl"
+    configure_journal(path=str(events))
+    try:
+        with pytest.raises(SimulationInterrupted):
+            run_checkpointed(spec, store=store, stop=StopAfter(2),
+                             chunk=600)
+        meta = store.peek(key)
+        if kind == "run":
+            assert set(meta) == {"kind", "committed", "instructions"}
+            assert meta["kind"] == "run"
+            assert meta["instructions"] == INSTRUCTIONS
+            assert 1200 <= meta["committed"] < INSTRUCTIONS
+        else:
+            assert meta == {"kind": "sampled", "window": 2, "windows": 4}
 
-    uninterrupted = run_resumable_spec(_spec(), store=_store(tmp_path),
-                                       chunk=INSTRUCTIONS)
-    with pytest.raises(SimulationInterrupted):
-        run_resumable_spec(spec, store=store, stop=StopAfter(1), chunk=600)
-    assert os.path.exists(store.path(key))
-    assert store.peek(key)["committed"] >= 600
-
-    resumed = run_resumable_spec(spec, store=store, chunk=600)
+        resumed = run_checkpointed(spec, store=store, chunk=600)
+    finally:
+        configure_journal()
     assert store.loads == 1
     assert result_to_dict(resumed) == result_to_dict(uninterrupted)
     # completion discards the checkpoint; a re-run starts cold
     assert store.peek(key) is None
+    assert not os.path.exists(store.path(key))
+    journal = [e for e in read_events(str(events))
+               if e["kind"].startswith("checkpoint.")]
+    assert {e["kind"] for e in journal} == {"checkpoint.save",
+                                            "checkpoint.resume"}
+    assert all(e["strategy"] == kind and e["key"] == key for e in journal)
 
 
-def test_run_resumable_spec_without_store_matches_simulator(tmp_path):
-    result = run_resumable_spec(_spec(), store=CheckpointStore(),
-                                chunk=500)
+def test_driver_without_store_matches_simulator(tmp_path):
+    result = run_checkpointed(_spec(), store=CheckpointStore(), chunk=500)
     direct = Simulator().run_benchmark("gzip", "dcg", INSTRUCTIONS)
     assert result_to_dict(result) == result_to_dict(direct)

@@ -93,8 +93,9 @@ def test_run_many_returns_request_order(runner):
 
 def test_prefetch_warms_the_memo(runner):
     runner.prefetch([("vpr", "base"), ("vpr", "dcg")])
-    assert ("baseline", "vpr", "base") in runner._cache
-    assert ("baseline", "vpr", "dcg") in runner._cache
+    for policy in ("base", "dcg"):
+        spec = runner._spec("vpr", policy, "baseline")
+        assert runner.cached_spec(spec)[1] == "memory"
 
 
 def test_disk_cache_shared_across_runners(tmp_path):
@@ -131,15 +132,34 @@ def test_cached_walks_memory_then_disk(tmp_path):
     from repro.sim import ResultCache
     root = str(tmp_path / "cache")
     first = ExperimentRunner(instructions=900, cache=ResultCache(root))
-    assert first.cached("gzip", "dcg") is None      # cold everywhere
+    spec = first._spec("gzip", "dcg", "baseline")
+    assert first.cached_spec(spec) is None          # cold everywhere
     hot = first.run("gzip", "dcg")
-    result, source = first.cached("gzip", "dcg")
+    result, source = first.cached_spec(spec)
     assert source == "memory" and result is hot
     second = ExperimentRunner(instructions=900, cache=ResultCache(root))
-    result, source = second.cached("gzip", "dcg")
+    result, source = second.cached_spec(spec)
     assert source == "disk" and result.cycles == hot.cycles
     # the disk hit is promoted, so the next lookup is a memory hit
-    assert second.cached("gzip", "dcg")[1] == "memory"
+    assert second.cached_spec(spec)[1] == "memory"
+
+
+def test_cached_spec_answers_only_the_exact_spec(tmp_path):
+    """One memo keyed by the whole spec: a run at one budget, seed or
+    sample plan never answers a lookup of the same (benchmark, policy,
+    tag) at another."""
+    from repro.sim import ResultCache, RunSpec
+    runner = ExperimentRunner(
+        instructions=900, cache=ResultCache(str(tmp_path / "cache")))
+    runner.run_many([("gzip", "dcg")])
+    spec = runner._spec("gzip", "dcg", "baseline")
+    assert runner.cached_spec(spec)[1] == "memory"
+    others = [RunSpec.resolve("gzip", "dcg", "baseline", 901),
+              RunSpec.resolve("gzip", "dcg", "baseline", 900, seed=7),
+              RunSpec.resolve("gzip", "dcg", "baseline", 900,
+                              sample="2x100")]
+    for other in others:
+        assert runner.cached_spec(other) is None
 
 
 def test_memoise_spec_feeds_both_cache_layers(tmp_path):
@@ -150,9 +170,10 @@ def test_memoise_spec_feeds_both_cache_layers(tmp_path):
     result = ExperimentRunner(instructions=900).run("gzip", "dcg")
     runner.memoise_spec(spec, result)
     assert runner.cache.stores == 1
-    assert runner.cached("gzip", "dcg")[1] == "memory"
+    assert runner.cached_spec(spec)[1] == "memory"
+    assert runner.run("gzip", "dcg") is result
     fresh = ExperimentRunner(instructions=900, cache=ResultCache(root))
-    assert fresh.cached("gzip", "dcg")[1] == "disk"
+    assert fresh.cached_spec(spec)[1] == "disk"
 
 
 def test_remote_executor_receives_only_the_misses():
