@@ -141,26 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("bench", help="list benchmark profiles")
 
-    bench_perf = sub.add_parser(
-        "bench-perf",
-        help="time the simulator hot path on pinned workloads")
-    bench_perf.add_argument("--instructions", type=_positive_int,
-                            default=None,
-                            help="per-case instruction budget "
-                                 "(default 20000)")
-    bench_perf.add_argument("--tag", default="local",
-                            help="report tag; output defaults to "
-                                 "benchmarks/perf/BENCH_<tag>.json")
-    bench_perf.add_argument("--output", default=None, metavar="PATH",
-                            help="explicit report path")
-    bench_perf.add_argument("--repeats", type=_positive_int, default=1,
-                            help="time each case N times and keep the "
-                                 "fastest run")
-    bench_perf.add_argument("--profile", action="store_true",
-                            help="cProfile one case and print the hottest "
-                                 "functions instead of timing the matrix "
-                                 "(also enabled by $REPRO_PROFILE)")
-
     serve = sub.add_parser(
         "serve", help="run the simulation service (queue + HTTP API)")
     serve.add_argument("--host", default="127.0.0.1")
@@ -427,40 +407,6 @@ def _cmd_bench(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_perf(args: argparse.Namespace) -> int:
-    from .bench import perf as perf_bench
-    instructions = args.instructions or perf_bench.DEFAULT_INSTRUCTIONS
-    if args.profile or os.environ.get("REPRO_PROFILE"):
-        case = perf_bench.DEFAULT_CASES[1]  # gzip/dcg: the densest path
-        print(f"profiling {case.label} at {instructions} instructions...",
-              file=sys.stderr)
-        print(perf_bench.profile_case(case, instructions=instructions))
-        return 0
-
-    def progress(record) -> None:
-        print(f"  {record['benchmark']}/{record['policy']:8s} "
-              f"{record['seconds']:6.2f}s  "
-              f"{record['cycles_per_second'] / 1000.0:7.1f}k cyc/s  "
-              f"{record['instructions_per_second'] / 1000.0:7.1f}k instr/s",
-              file=sys.stderr)
-
-    report = perf_bench.run_bench(instructions=instructions, tag=args.tag,
-                                  progress=progress,
-                                  repeats=args.repeats)
-    output = args.output
-    if output is None:
-        os.makedirs(os.path.join("benchmarks", "perf"), exist_ok=True)
-        output = os.path.join("benchmarks", "perf",
-                              f"BENCH_{args.tag}.json")
-    perf_bench.write_report(report, output)
-    totals = report["totals"]
-    print(f"{totals['cases']} cases, {totals['cycles']} simulated cycles "
-          f"in {totals['seconds']:.2f}s "
-          f"({totals['cycles_per_second'] / 1000.0:.1f}k cyc/s aggregate)")
-    print(f"wrote {output}", file=sys.stderr)
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .faults import get_plan
     from .service import CacheTierClient, SimulationService
@@ -616,7 +562,6 @@ _COMMANDS = {
     "report": _cmd_report,
     "budget": _cmd_budget,
     "bench": _cmd_bench,
-    "bench-perf": _cmd_bench_perf,
     "serve": _cmd_serve,
     "gateway": _cmd_gateway,
     "cache-tier": _cmd_cache_tier,

@@ -126,6 +126,10 @@ class MachineConfig:
                      "result_buses"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for fu_class, count in self.fu_counts.items():
+            if count < 1:
+                raise ValueError(f"{fu_class.name.lower()} count must be "
+                                 f">= 1, not {count}")
         if self.mispredict_redirect < 0:
             raise ValueError("mispredict_redirect must be non-negative")
 

@@ -37,7 +37,7 @@ import threading
 import time
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import urlparse
 
 from ..obs.events import get_journal
 from ..obs.tracing import activate, context_from_headers, span
@@ -391,14 +391,17 @@ class _GatewayHandler(JSONHandler):
         if match is None:
             self._send(404, {"error": f"no such endpoint: {parsed.path}"})
             return
+        try:
+            timeout = self._query_timeout(parsed.query)
+        except ValueError as exc:
+            self._send(400, {"error": str(exc)})
+            return
         job_id = match.group("id")
         with activate(context_from_headers(self.headers)):
             try:
                 if not match.group("result"):
                     self._send(200, gateway.status(job_id))
                     return
-                query = parse_qs(parsed.query)
-                timeout = float(query.get("timeout", ["60"])[0])
                 self._send(200, gateway.result_payload(job_id, timeout))
             except ServiceTimeout as exc:
                 self._send(504, dict(exc.payload, error=str(exc)))

@@ -6,19 +6,22 @@ The shard server, the gateway and the cache tier all speak JSON over
 :func:`serve_until_interrupted` their one foreground loop;
 :class:`JSONHandler` holds what their handlers share — quiet logging
 unless the server is verbose, JSON and text responses, and a bounded
-request-body read.  A ``Content-Length`` that is not a
-non-negative integer is refused (``ValueError``, which every tier
-answers with a JSON 400) before any read, because ``rfile.read(-1)``
-would block the handler thread until the client hung up.
+request-body read, and the ``?timeout=`` parser.  A ``Content-Length``
+that is not a non-negative integer is refused (``ValueError``, which
+every tier answers with a JSON 400) before any read, because
+``rfile.read(-1)`` would block the handler thread until the client hung
+up; so is a timeout that is not a finite non-negative number.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple, Type
+from urllib.parse import parse_qs
 
 __all__ = ["JSONHandler", "JSONServer", "serve_until_interrupted"]
 
@@ -137,3 +140,16 @@ class JSONHandler(BaseHTTPRequestHandler):
         if not isinstance(data, dict):
             raise ValueError("request body must be a JSON object")
         return data
+
+    @staticmethod
+    def _query_timeout(query: str) -> float:
+        """The ``timeout`` seconds of a URL query string (60 if absent);
+        ValueError unless a finite non-negative number."""
+        raw = parse_qs(query).get("timeout", ["60"])[0]
+        try:
+            timeout = float(raw)
+        except ValueError:
+            timeout = math.nan
+        if not math.isfinite(timeout) or timeout < 0:
+            raise ValueError(f"invalid timeout: {raw!r}")
+        return timeout

@@ -115,6 +115,19 @@ def _integer(fields: Dict[str, Any], name: str,
     return value
 
 
+def _string(fields: Dict[str, Any], name: str,
+            default: Optional[str]) -> Optional[str]:
+    """``fields[name]`` if it is a JSON string, ``default`` if absent
+    or null; ValueError otherwise."""
+    value = fields.get(name)
+    if value is None:
+        return default
+    if not isinstance(value, str):
+        raise ValueError(f"{name!r} must be a JSON string, "
+                         f"not {json.dumps(value)}")
+    return value
+
+
 def parse_run_request(fields: Dict[str, Any],
                       instructions: Optional[int] = None
                       ) -> Tuple[RunSpec, int]:
@@ -125,16 +138,18 @@ def parse_run_request(fields: Dict[str, Any],
     priority 0, and ``instructions`` when the request has none) and on
     what they refuse: any ``ValueError`` is answered with a JSON 400.
     """
+    if fields.get("benchmark") is None:
+        raise ValueError("missing field: 'benchmark'")
     try:
         spec = make_spec(
-            benchmark=fields["benchmark"],
-            policy=fields.get("policy", "dcg"),
-            tag=fields.get("tag", "baseline"),
+            benchmark=_string(fields, "benchmark", None),
+            policy=_string(fields, "policy", "dcg"),
+            tag=_string(fields, "tag", "baseline"),
             instructions=_integer(fields, "instructions", instructions),
             seed=_integer(fields, "seed", None),
-            sample=fields.get("sample"))
+            sample=_string(fields, "sample", None))
     except KeyError as exc:
-        raise ValueError(f"missing or unknown field: {exc}") from None
+        raise ValueError(str(exc).strip('"')) from None
     return spec, _integer(fields, "priority", 0)
 
 

@@ -344,6 +344,11 @@ class _Handler(JSONHandler):
         if match is None:
             self._send(404, {"error": f"no such endpoint: {parsed.path}"})
             return
+        try:
+            timeout = self._query_timeout(parsed.query)
+        except ValueError as exc:
+            self._send(400, {"error": str(exc)})
+            return
         job = service.queue.get(match.group("id"))
         if job is None:
             self._send(404, {"error": f"no such job: {match.group('id')}"})
@@ -351,8 +356,6 @@ class _Handler(JSONHandler):
         if not match.group("result"):
             self._send(200, job.to_dict())
             return
-        query = parse_qs(parsed.query)
-        timeout = float(query.get("timeout", ["60"])[0])
         if not job.wait(timeout=timeout):
             self._send(504, {"error": "timed out waiting for the result",
                              "job": job.to_dict()})

@@ -100,8 +100,8 @@ class RunReport:
     @property
     def instructions_per_second(self) -> float:
         # cache hits can report sub-resolution timings; clamp to the
-        # timer's practical resolution (as bench/perf.py does) so a
-        # progress line never claims a misleading "0 instr/s"
+        # timer's practical resolution so a progress line never claims
+        # a misleading "0 instr/s"
         return self.spec.instructions / max(self.seconds, 1e-9)
 
 

@@ -61,3 +61,6 @@ def test_config_validation():
         MachineConfig(issue_width=0)
     with pytest.raises(ValueError):
         MachineConfig(mispredict_redirect=-1)
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="int_alu count must be >= 1"):
+            MachineConfig().with_int_alus(count)

@@ -148,16 +148,27 @@ def raw_request(url, method, path, content_length, timeout=5.0):
     return status, json.loads(body)
 
 
-#: run-request fields that must be JSON integers but are not, by test
-#: id: ``true`` used to be read as 1 and ``1e12`` as a
-#: trillion-instruction run
-NON_INTEGER_FIELDS = {
-    "instructions-true": '"instructions": true',
-    "instructions-1e12": '"instructions": 1e12',
-    "instructions-string": '"instructions": "5000"',
-    "seed-true": '"seed": true',
-    "priority-string": '"priority": "5"',
+#: run-request fields the parser must refuse with a JSON 400, by test
+#: id: ``(fields, text the error names)``.  ``true`` used to be read as
+#: 1 and ``1e12`` as a trillion-instruction run; a non-string field
+#: used to drop the connection; ``int_alus=0`` used to be accepted and
+#: then deadlock its worker
+MALFORMED_FIELDS = {
+    "instructions-true": ('"instructions": true', "must be a JSON integer"),
+    "instructions-1e12": ('"instructions": 1e12', "must be a JSON integer"),
+    "instructions-string": ('"instructions": "5000"',
+                            "must be a JSON integer"),
+    "seed-true": ('"seed": true', "must be a JSON integer"),
+    "priority-string": ('"priority": "5"', "must be a JSON integer"),
+    "tag-integer": ('"tag": 5', "must be a JSON string"),
+    "benchmark-list": ('"benchmark": ["gzip"]', "must be a JSON string"),
+    "tag-zero-int-alus": ('"tag": "int_alus=0"', "count must be >= 1"),
 }
+
+#: ``?timeout=`` values a result poll must refuse with a JSON 400: a
+#: non-number used to drop the connection on both tiers, ``nan`` at
+#: the gateway
+MALFORMED_TIMEOUTS = ("abc", "nan", "inf", "-1")
 
 
 def post_run_text(url, fields_text, timeout=30.0):
@@ -167,6 +178,16 @@ def post_run_text(url, fields_text, timeout=30.0):
     request = urllib.request.Request(
         url + "/v1/runs", data=body,
         headers={"Content-Type": "application/json"}, method="POST")
+    return _json_reply(request, timeout)
+
+
+def get_json(url, path, timeout=30.0):
+    """GET ``path``; ``(status, JSON payload)`` of the reply."""
+    return _json_reply(url + path, timeout)
+
+
+def _json_reply(request, timeout):
+    """``(status, JSON payload)`` of ``request``, error replies included."""
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
             return response.status, json.loads(response.read())

@@ -14,8 +14,9 @@ from repro.service import (BackpressureError, Gateway, GatewayServer,
 from repro.service.workers import ShutdownRequested
 from repro.sim import ResultCache
 
-from .conftest import (MALFORMED_LENGTHS, NON_INTEGER_FIELDS,
-                       post_run_text, raw_request)
+from .conftest import (MALFORMED_FIELDS, MALFORMED_LENGTHS,
+                       MALFORMED_TIMEOUTS, get_json, post_run_text,
+                       raw_request)
 
 INSTRUCTIONS = 300
 
@@ -120,13 +121,26 @@ def test_malformed_content_length_is_a_json_400(fleet):
     assert fleet.simulated() == [0, 0]
 
 
-@pytest.mark.parametrize("fields", list(NON_INTEGER_FIELDS.values()),
-                         ids=list(NON_INTEGER_FIELDS))
-def test_non_integer_fields_are_a_json_400(fleet, fields):
+@pytest.mark.parametrize("fields, message",
+                         list(MALFORMED_FIELDS.values()),
+                         ids=list(MALFORMED_FIELDS))
+def test_non_integer_fields_are_a_json_400(fleet, fields, message):
     status, payload = post_run_text(fleet.url, fields)
     assert status == 400
-    assert "must be a JSON integer" in payload["error"]
+    assert message in payload["error"]
     assert [shard.queue.submitted for shard in fleet.shards] == [0, 0]
+
+
+def test_malformed_result_timeout_is_a_json_400(fleet):
+    client = ServiceClient(fleet.url)
+    job = client.submit_one(benchmark="gzip", policy="dcg",
+                            instructions=INSTRUCTIONS)
+    for value in MALFORMED_TIMEOUTS:
+        status, payload = get_json(fleet.url, f"/v1/runs/{job['id']}/result"
+                                              f"?timeout={value}")
+        assert status == 400
+        assert "invalid timeout" in payload["error"]
+    assert client.result(job["id"]).instructions == INSTRUCTIONS
 
 
 def test_unknown_job_is_a_404(fleet):

@@ -15,8 +15,9 @@ from repro.service.workers import ShutdownRequested
 from repro.sim import ExperimentRunner, ResultCache, Simulator
 from repro.sim.cache import result_to_dict
 
-from .conftest import (MALFORMED_LENGTHS, NON_INTEGER_FIELDS,
-                       post_run_text, raw_request)
+from .conftest import (MALFORMED_FIELDS, MALFORMED_LENGTHS,
+                       MALFORMED_TIMEOUTS, get_json, post_run_text,
+                       raw_request)
 
 INSTRUCTIONS = 400
 
@@ -175,14 +176,27 @@ def test_malformed_content_length_is_a_json_400(service_url):
     assert ServiceClient(url).healthz()["status"] == "ok"
 
 
-@pytest.mark.parametrize("fields", list(NON_INTEGER_FIELDS.values()),
-                         ids=list(NON_INTEGER_FIELDS))
-def test_non_integer_fields_are_a_json_400(service_url, fields):
+@pytest.mark.parametrize("fields, message",
+                         list(MALFORMED_FIELDS.values()),
+                         ids=list(MALFORMED_FIELDS))
+def test_non_integer_fields_are_a_json_400(service_url, fields, message):
     url, service = service_url
     status, payload = post_run_text(url, fields)
     assert status == 400
-    assert "must be a JSON integer" in payload["error"]
+    assert message in payload["error"]
     assert service.queue.submitted == 0
+
+
+def test_malformed_result_timeout_is_a_json_400(service_url):
+    url, _service = service_url
+    client = ServiceClient(url)
+    job = client.submit_one(benchmark="gzip", policy="dcg")
+    for value in MALFORMED_TIMEOUTS:
+        status, payload = get_json(url, f"/v1/runs/{job['id']}/result"
+                                        f"?timeout={value}")
+        assert status == 400
+        assert "invalid timeout" in payload["error"]
+    assert client.result(job["id"]).benchmark == "gzip"
 
 
 def test_results_are_keyed_by_the_full_spec(service_url):

@@ -63,7 +63,7 @@ def test_progress_reports(monkeypatch):
 
 def test_report_rate_clamps_sub_resolution_timings():
     """Cache hits can be timed below the clock's resolution; the rate
-    must clamp (like bench/perf.py) instead of reporting 0 instr/s."""
+    must clamp instead of reporting 0 instr/s."""
     spec = RunSpec("baseline", "gzip", "base", 700)
     assert RunReport(spec, 0.0, "memory").instructions_per_second > 0.0
     assert RunReport(spec, -1.0, "disk").instructions_per_second > 0.0
