@@ -4,8 +4,6 @@ from .funits import (
     AllocationPolicy,
     DEFAULT_FU_COUNTS,
     FU_LATENCY,
-    FUInstance,
-    FUPool,
     FUSpec,
 )
 
@@ -13,7 +11,5 @@ __all__ = [
     "AllocationPolicy",
     "DEFAULT_FU_COUNTS",
     "FU_LATENCY",
-    "FUInstance",
-    "FUPool",
     "FUSpec",
 ]

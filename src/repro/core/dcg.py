@@ -210,10 +210,10 @@ class DCGPolicy(GatingPolicy):
                     if table is not None and mask is table[claimed_bits]:
                         pass
                     elif claimed_bits or True in mask:
-                        # value comparison for tuples built elsewhere
-                        # (the object core builds them per cycle); fall
-                        # back to set comparison only on mismatch
-                        # (list-typed masks, capacity mismatches)
+                        # value comparison for tuples not taken from
+                        # the shared table; fall back to set comparison
+                        # only on mismatch (list-typed masks, capacity
+                        # mismatches)
                         if table is None or mask != table[claimed_bits]:
                             actual = {i for i, on in enumerate(mask) if on}
                             claimed = {i for i in range(count)

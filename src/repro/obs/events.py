@@ -172,6 +172,23 @@ def get_journal() -> EventJournal:
     return _journal
 
 
+def _fresh_locks_after_fork() -> None:
+    """Give a forked child unheld journal locks.
+
+    A fork copies each lock in whatever state another thread of the
+    parent left it; a threaded server forking a job while a request
+    thread emits would otherwise hand the child a held lock, and its
+    first emit would block until the job's timeout.
+    """
+    global _journal_lock
+    _journal_lock = threading.Lock()
+    if _journal is not None:
+        _journal._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_locks_after_fork)
+
+
 def configure_journal(path: Optional[str] = None,
                       stream: Optional[TextIO] = None) -> EventJournal:
     """Install an explicit process journal (tests, embedding).

@@ -1,9 +1,8 @@
 """Cycle-level out-of-order superscalar pipeline."""
 
 from .config import BASELINE_DEPTH, DEEP_DEPTH, DepthConfig, MachineConfig
-from .core import Pipeline
-from .inflight import InflightOp
-from .pipetrace import render_pipetrace
+from .arraycore import ArrayPipeline as Pipeline
+from .pipetrace import OpRecord, render_pipetrace
 from .stats import SimStats
 from .usage import CycleUsage, UsageTotals
 from .verification import InvariantChecker, InvariantViolation
@@ -13,10 +12,10 @@ __all__ = [
     "DEEP_DEPTH",
     "CycleUsage",
     "DepthConfig",
-    "InflightOp",
     "InvariantChecker",
     "InvariantViolation",
     "MachineConfig",
+    "OpRecord",
     "Pipeline",
     "render_pipetrace",
     "SimStats",

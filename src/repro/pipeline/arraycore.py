@@ -1,11 +1,24 @@
-"""Struct-of-arrays cycle core: the one every production run steps.
+"""The cycle core: a trace-driven out-of-order superscalar pipeline.
 
-This is the same machine as :class:`repro.pipeline.core.Pipeline` —
-same fetch/dispatch/issue/complete/commit algorithm, same policy and
-observer contract, same :class:`~repro.pipeline.usage.CycleUsage`
-stream, bit-identical results — with the per-cycle state held in
-preallocated parallel columns instead of ``InflightOp`` objects and
-dict calendars:
+The model follows the paper's Figure 3 organisation: fetch, decode,
+rename, issue (wakeup/select over a 128-entry window), register read,
+execute, memory access, writeback, with in-order commit from the window.
+Relative timing matches the paper's DCG discussion:
+
+* instructions selected at issue in cycle ``X`` read registers at
+  ``X+1`` and use their execution unit from ``X+2``;
+* loads issued at ``X`` access the D-cache at ``X+3``;
+* results write back over the result buses at ``X+2+latency-1`` (one
+  cycle after the value becomes available to consumers);
+* stores access the D-cache at commit, optionally one cycle later when
+  the gating policy asks for DCG's store-delay variant (§3.3).
+
+Each simulated cycle produces a :class:`~repro.pipeline.usage.CycleUsage`
+that is handed to the gating policy and any registered observers (the
+power accountant).
+
+The per-cycle state is held in preallocated parallel columns rather
+than one object per instruction:
 
 * every in-flight instruction is a *slot index* into ~20 parallel
   int/object columns (``_seq``, ``_ready``, ``_unres``, ``_icyc``, ...),
@@ -19,7 +32,7 @@ dict calendars:
   (bit ``i`` = instance ``i`` holds an op that cycle); the per-cycle
   activity tuples handed to policies are table look-ups on the mask;
 * D-cache port reservations are int rings, and the issue-count latch
-  history reuses the object core's ring-buffer layout verbatim;
+  history is a ring with sliding stage-window sums;
 * issue is event-driven: an op enters a *wake calendar* (another
   ``cycle & mask`` ring) once its last operand's ready cycle is final,
   and select walks only the ops whose calendar entry has drained,
@@ -31,28 +44,24 @@ The entire per-cycle step runs as one fused method so the hot loop
 pays for list indexing instead of attribute chases, object allocation,
 and per-stage call overhead.
 
-Equivalence subtleties (all pinned by
-``tests/integration/test_backend_equivalence.py``):
+Slot lifetime and ordering rules:
 
 * The rename map is a 64-entry slot list.  The wrong-path checkpoint
   snapshots it together with per-slot generation counters; restore
-  drops entries whose slot was recycled or whose op committed — the
-  object core keeps such stale producers in the dict, but they are
-  semantically inert there (dispatch skips committed producers), so
-  dropping them is observationally identical.
+  drops entries whose slot was recycled or whose op committed (a
+  committed producer is never waited on, so dropping it changes
+  nothing).
 * Squashed wrong-path ops that already issued keep their slot until
-  their completion-calendar entry drains (mirroring the object core's
-  liveness through the calendar reference); unissued or completed ones
+  their completion-calendar entry drains; unissued or completed ones
   free at squash time.
-* Select must visit ready ops in dispatch order, as the object core's
-  scan does.  Wake entries drain in wake order, so the candidate list
-  is re-sorted on a per-slot dispatch counter whenever a drain adds to
-  it.  Wake entries carry the slot's generation; an entry whose op was
-  squashed or whose slot was recycled is dropped at drain.
+* Select visits ready ops in dispatch order.  Wake entries drain in
+  wake order, so the candidate list is re-sorted on a per-slot
+  dispatch counter whenever a drain adds to it.  Wake entries carry
+  the slot's generation; an entry whose op was squashed or whose slot
+  was recycled is dropped at drain.
 
-This module deliberately does not support :meth:`Pipeline.capture_ops`
-(pipetrace rendering keeps using the object core, which retains real
-``InflightOp`` records).
+``tests/integration/test_usage_digests.py`` pins the per-cycle usage
+stream against frozen digests, chunk by chunk.
 """
 
 from __future__ import annotations
@@ -62,17 +71,26 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..backend.funits import FU_LATENCY, AllocationPolicy
-from ..core.interface import CycleConstraints, GatingPolicy
+from ..core.interface import CycleConstraints, GateDecision, GatingPolicy
 from ..frontend.branch_predictor import BranchPredictor
 from ..memory.hierarchy import CacheHierarchy
 from ..trace.uop import FUClass, MicroOp, OpClass
 from ..trace.stream import TraceStream
 from .config import MachineConfig
-from .core import _DEADLOCK_LIMIT, _FU_EXEC_CLASSES, CycleObserver
+from .pipetrace import OpRecord
 from .stats import SimStats
 from .usage import CycleUsage, UsageTotals, activity_mask_table
 
-__all__ = ["ArrayPipeline"]
+__all__ = ["ArrayPipeline", "CycleObserver"]
+
+#: callback invoked after every cycle with (usage, gate decision)
+CycleObserver = Callable[[CycleUsage, GateDecision], None]
+
+_FU_EXEC_CLASSES = (FUClass.INT_ALU, FUClass.INT_MULT,
+                    FUClass.FP_ALU, FUClass.FP_MULT)
+
+#: abort if the machine makes no forward progress for this many cycles
+_DEADLOCK_LIMIT = 50_000
 
 # -- per-op-class constant tables, indexed by OpClass (an IntEnum) ----------
 
@@ -113,10 +131,56 @@ _MEM_PORT = int(FUClass.MEM_PORT)
 _mask_table = activity_mask_table
 
 
+class _Capture:
+    """Pipetrace capture state: stage-entry cycle columns for the first
+    ``limit`` dispatched ops, indexed by capture number (-1 until the
+    op reaches the stage)."""
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        #: slot -> capture number of each captured op still in flight,
+        #: in dispatch order
+        self.open: Dict[int, int] = {}
+        #: (seq, op class, wrong path) per captured op
+        self.op: List[Tuple[int, OpClass, bool]] = []
+        self.dispatch: List[int] = []
+        self.issue: List[int] = []
+        self.complete: List[int] = []
+        self.commit: List[int] = []
+        self.squashed: List[bool] = []
+
+    def records(self) -> List[OpRecord]:
+        def seen(cycle: int) -> Optional[int]:
+            return cycle if cycle >= 0 else None
+
+        return [OpRecord(seq, op_class, wrong_path, squashed, dispatch,
+                         seen(issue), seen(complete), seen(commit))
+                for (seq, op_class, wrong_path), squashed, dispatch, issue,
+                complete, commit in zip(
+                    self.op, self.squashed, self.dispatch, self.issue,
+                    self.complete, self.commit)]
+
+
 class ArrayPipeline:
-    """Drop-in replacement for :class:`~repro.pipeline.core.Pipeline`
-    with struct-of-arrays state.  Constructor, :meth:`run`,
-    :meth:`add_observer`, and every observable output are identical."""
+    """Trace-driven out-of-order core.
+
+    Parameters
+    ----------
+    config:
+        Machine configuration (Table 1 by default).
+    stream:
+        Micro-op source.
+    policy:
+        Gating policy; :class:`~repro.core.interface.NoGatingPolicy`
+        reproduces the paper's base case.
+    hierarchy / predictor:
+        Optional pre-built memory system and branch predictor (built
+        from ``config`` when omitted).
+    """
+
+    #: pipetrace capture, off until :meth:`capture_ops`; a class
+    #: default, so runs pickled before capture existed resume with it off
+    _capture: Optional[_Capture] = None
 
     def __init__(self, config: MachineConfig, stream: TraceStream,
                  policy: GatingPolicy,
@@ -329,7 +393,7 @@ class ArrayPipeline:
 
     def _release(self, slot: int) -> None:
         """Recycle ``slot`` unless the rename map still references it
-        (the object core would keep such an op alive through the dict)."""
+        (a wrong-path restore may bring that mapping back)."""
         dest = self._dest[slot]
         if dest >= 0 and self._rp[dest] == slot:
             return
@@ -345,9 +409,20 @@ class ArrayPipeline:
         self.observers.append(observer)
 
     def capture_ops(self, limit: int) -> None:
-        raise NotImplementedError(
-            "pipetrace capture needs InflightOp records; use the object "
-            "core (repro.pipeline.core.Pipeline)")
+        """Record the first ``limit`` dispatched ops (wrong-path
+        included) for :func:`repro.pipeline.pipetrace.render_pipetrace`.
+
+        Capturing runs :meth:`_capture_step` instead of the plain step;
+        without a capture the cycle loop is untouched.
+        """
+        if limit < 0:
+            raise ValueError("limit must be non-negative")
+        self._capture = _Capture(limit) if limit else None
+
+    @property
+    def captured_ops(self) -> List[OpRecord]:
+        """The captured ops' stage-entry cycles, in dispatch order."""
+        return [] if self._capture is None else self._capture.records()
 
     # ------------------------------------------------------------------
     # top-level loop
@@ -358,7 +433,7 @@ class ArrayPipeline:
         stats = self.stats
         stream = self.stream
         window = self._window
-        step = self._step
+        step = self._step if self._capture is None else self._capture_step
         while True:
             if target is not None and stats.committed >= target:
                 break
@@ -943,6 +1018,46 @@ class ArrayPipeline:
             observer(usage, decision)
         self.cycle = c + 1
 
+    def _capture_step(self) -> None:
+        """One cycle plus the stage-entry cycles it gave captured ops.
+
+        Captured ops are the oldest dispatched, so those still in
+        flight are a prefix of the window: this cycle's commits are
+        the first of them, and its dispatches the window's tail.
+        Squashes are recorded by :meth:`_squash_wrong_path`.
+        """
+        c = self.cycle
+        committed = self.stats.committed
+        dispatched = self._dispatch_count
+        self._step()
+        cap = self._capture
+        committed = self.stats.committed - committed
+        for slot in list(cap.open)[:committed]:
+            n = cap.open.pop(slot)
+            if cap.complete[n] < 0:
+                cap.complete[n] = c
+            cap.commit[n] = c
+        o_icyc = self._icyc
+        o_done = self._done
+        for slot, n in cap.open.items():
+            if cap.issue[n] < 0 and o_icyc[slot] >= 0:
+                cap.issue[n] = o_icyc[slot]
+            if cap.complete[n] < 0 and o_done[slot]:
+                cap.complete[n] = c
+        room = cap.limit - len(cap.op)
+        dispatched = self._dispatch_count - dispatched
+        if room > 0 and dispatched:
+            window = list(self._window)
+            for slot in window[len(window) - dispatched:][:room]:
+                cap.open[slot] = len(cap.op)
+                cap.op.append((self._seq[slot], self._cls[slot],
+                               self._mwp and bool(self._wp[slot])))
+                cap.dispatch.append(c)
+                cap.issue.append(-1)
+                cap.complete.append(-1)
+                cap.commit.append(-1)
+                cap.squashed.append(False)
+
     # ------------------------------------------------------------------
     # functional-unit allocation
     # ------------------------------------------------------------------
@@ -995,6 +1110,10 @@ class ArrayPipeline:
             if self._flags[s] & _F_MEM:
                 self._lsq_count -= 1
             popped.append(s)
+            if self._capture is not None:
+                n = self._capture.open.pop(s, None)
+                if n is not None:
+                    self._capture.squashed[n] = True
         cands = self._cands
         if cands and any(o_sq[s] for s in cands):
             self._cands = [s for s in cands if not o_sq[s]]

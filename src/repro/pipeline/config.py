@@ -9,7 +9,16 @@ from ..backend.funits import AllocationPolicy, DEFAULT_FU_COUNTS
 from ..memory.hierarchy import HierarchyConfig
 from ..trace.uop import FUClass
 
-__all__ = ["DepthConfig", "MachineConfig", "BASELINE_DEPTH", "DEEP_DEPTH"]
+__all__ = ["DepthConfig", "MachineConfig", "BASELINE_DEPTH", "DEEP_DEPTH",
+           "MAX_FU_COUNT"]
+
+#: most instances of one functional-unit class a machine may have:
+#: twice Table 1's issue width (the experiment grids stay at 8 or
+#: below).  The cycle core builds a 2**count-entry activity table per
+#: class when it is constructed, so a count costs time and memory up
+#: front, doubling with each unit: 0.26 s and about 12 MB at 16 on a
+#: Xeon VM, where 1000 units would never finish.
+MAX_FU_COUNT = 16
 
 
 @dataclass(frozen=True)
@@ -130,6 +139,9 @@ class MachineConfig:
             if count < 1:
                 raise ValueError(f"{fu_class.name.lower()} count must be "
                                  f">= 1, not {count}")
+            if count > MAX_FU_COUNT:
+                raise ValueError(f"{fu_class.name.lower()} count must be "
+                                 f"<= {MAX_FU_COUNT}, not {count}")
         if self.mispredict_redirect < 0:
             raise ValueError("mispredict_redirect must be non-negative")
 

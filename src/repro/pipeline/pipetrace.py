@@ -1,6 +1,7 @@
 """Pipetrace rendering (sim-outorder-style instruction timelines).
 
-Enable per-op capture with :meth:`Pipeline.capture_ops`, run the
+Enable per-op capture with
+:meth:`~repro.pipeline.arraycore.ArrayPipeline.capture_ops`, run the
 simulation, then render::
 
     pipe.capture_ops(32)
@@ -26,14 +27,28 @@ mark  meaning
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
-from .inflight import InflightOp
+from ..trace.uop import OpClass
 
-__all__ = ["render_pipetrace"]
+__all__ = ["OpRecord", "render_pipetrace"]
 
 
-def _timeline(op: InflightOp, start: int, end: int) -> str:
+class OpRecord(NamedTuple):
+    """One captured instruction: the cycle it entered each stage
+    (``None``: it never got there)."""
+
+    seq: int
+    op_class: OpClass
+    wrong_path: bool        #: fetched past a mispredicted branch
+    squashed: bool          #: removed by a wrong-path squash
+    dispatch_cycle: int
+    issued_cycle: Optional[int]
+    complete_cycle: Optional[int]
+    commit_cycle: Optional[int]
+
+
+def _timeline(op: OpRecord, start: int, end: int) -> str:
     cells: List[str] = []
     dispatch = op.dispatch_cycle
     issue = op.issued_cycle
@@ -65,7 +80,7 @@ def _timeline(op: InflightOp, start: int, end: int) -> str:
     return "".join(cells).rstrip()
 
 
-def render_pipetrace(ops: Sequence[InflightOp],
+def render_pipetrace(ops: Sequence[OpRecord],
                      max_cycles: int = 120,
                      start: Optional[int] = None) -> str:
     """Timeline chart for captured in-flight ops.
@@ -73,7 +88,8 @@ def render_pipetrace(ops: Sequence[InflightOp],
     Parameters
     ----------
     ops:
-        Ops captured via :meth:`Pipeline.capture_ops`.
+        The pipeline's ``captured_ops`` after
+        :meth:`~repro.pipeline.arraycore.ArrayPipeline.capture_ops`.
     max_cycles:
         Width cap of the rendered window.
     start:
@@ -101,6 +117,6 @@ def render_pipetrace(ops: Sequence[InflightOp],
     return "\n".join(lines)
 
 
-def _label(op: InflightOp) -> str:
+def _label(op: OpRecord) -> str:
     tag = "~" if op.wrong_path else " "
-    return f"{tag}#{op.seq} {op.uop.op_class.name.lower():6s}"
+    return f"{tag}#{op.seq} {op.op_class.name.lower():6s}"

@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING, Dict
 from ..trace.uop import FUClass, MicroOp, OpClass
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .core import Pipeline
+    from .arraycore import ArrayPipeline
 
 __all__ = ["SimStats"]
 
@@ -53,7 +53,7 @@ class SimStats:
             return 0.0
         return self.commit_class_counts.get(op_class, 0) / self.committed
 
-    def finalize(self, pipeline: "Pipeline") -> None:
+    def finalize(self, pipeline: "ArrayPipeline") -> None:
         predictor = pipeline.predictor.stats
         self.mispredict_rate = predictor.mispredict_rate
         self.cache_stats = pipeline.hierarchy.stats_table()

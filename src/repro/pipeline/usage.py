@@ -5,13 +5,13 @@ Gating policies and the power accountant consume it: policies decide
 which blocks were (or could have been) clock-gated; the accountant
 converts usage + gate decisions into energy.
 
-Both records live on the simulator's per-cycle hot path — one
-:class:`CycleUsage` is allocated every simulated cycle, and the object
-core runs one :meth:`UsageTotals.add` per cycle (the array core keeps
-its own integer sums and writes them into a :class:`UsageTotals` at
-the end of a run) — so they are plain ``__slots__`` classes rather
-than dataclasses: slot attribute access is what the cycle loop, the
-policies, and the accountant spend their time on.
+:class:`CycleUsage` lives on the simulator's per-cycle hot path — one
+is allocated every simulated cycle — so it is a plain ``__slots__``
+class rather than a dataclass: slot attribute access is what the cycle
+loop, the policies, and the accountant spend their time on.  The core
+keeps its own integer sums and writes them into a
+:class:`UsageTotals` at the end of a run; :meth:`UsageTotals.add`
+folds one cycle at a time, for callers that hold a usage stream.
 """
 
 from __future__ import annotations

@@ -194,7 +194,7 @@ class Simulator:
         """Simulate one SPEC2000-like benchmark under one policy.
 
         ``observers`` are extra per-cycle callbacks (see
-        :data:`~repro.pipeline.core.CycleObserver`) attached after the
+        :data:`~repro.pipeline.arraycore.CycleObserver`) attached after the
         power accountant — the opt-in sampling hook.
         """
         profile = (get_profile(benchmark) if isinstance(benchmark, str)

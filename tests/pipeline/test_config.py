@@ -3,6 +3,7 @@
 import pytest
 
 from repro.pipeline import BASELINE_DEPTH, DEEP_DEPTH, DepthConfig, MachineConfig
+from repro.pipeline.config import MAX_FU_COUNT
 from repro.trace import FUClass
 
 
@@ -64,3 +65,17 @@ def test_config_validation():
     for count in (0, -1):
         with pytest.raises(ValueError, match="int_alu count must be >= 1"):
             MachineConfig().with_int_alus(count)
+
+
+def test_fu_counts_are_bounded():
+    """The core builds a 2**count activity table per class up front, so
+    a huge count is refused here instead of exhausting memory later."""
+    assert MachineConfig().with_int_alus(MAX_FU_COUNT).fu_counts[
+        FUClass.INT_ALU] == MAX_FU_COUNT == 16
+    for count in (MAX_FU_COUNT + 1, 1000):
+        with pytest.raises(ValueError, match="int_alu count must be <= 16"):
+            MachineConfig().with_int_alus(count)
+    counts = dict(MachineConfig().fu_counts)
+    counts[FUClass.FP_MULT] = 17
+    with pytest.raises(ValueError, match="fp_mult count must be <= 16"):
+        MachineConfig(fu_counts=counts)

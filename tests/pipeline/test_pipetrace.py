@@ -1,10 +1,29 @@
-"""Pipetrace capture and rendering."""
+"""Pipetrace capture and rendering.
+
+``golden/pipetrace.json`` freezes the rendered text of two captures as
+the earlier object-per-instruction core drew them: the first 12 ops of
+``examples/custom_kernel.py``, and a wrong-path run whose capture holds
+squashed ops.  If a deliberate model change moves them, regenerate with
+``python tests/pipeline/test_pipetrace.py`` and say so in the commit
+message; never regenerate to paper over an accidental diff.
+"""
+
+import importlib.util
+import json
+import os
 
 import pytest
 
 from repro.core import NoGatingPolicy
+from repro.isa import assemble, trace_program
 from repro.pipeline import MachineConfig, Pipeline, render_pipetrace
 from repro.trace import MicroOp, OpClass, TraceStream
+from repro.workloads import SyntheticTraceGenerator, get_profile
+
+_HERE = os.path.dirname(__file__)
+GOLDEN_PATH = os.path.join(_HERE, "golden", "pipetrace.json")
+EXAMPLE_PATH = os.path.join(_HERE, os.pardir, os.pardir, "examples",
+                            "custom_kernel.py")
 
 
 def _run_captured(ops, capture=16):
@@ -88,3 +107,51 @@ def test_window_truncation():
     text = render_pipetrace(pipe.captured_ops, max_cycles=20)
     row = [l for l in text.splitlines() if "#0" in l][0]
     assert len(row.split("|", 1)[1]) <= 20
+
+
+def _custom_kernel_trace():
+    """``examples/custom_kernel.py``'s pipetrace: its first 12 ops."""
+    spec = importlib.util.spec_from_file_location("custom_kernel",
+                                                  EXAMPLE_PATH)
+    example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(example)
+    program = assemble(example.HISTOGRAM)
+    pipe = Pipeline(MachineConfig(), TraceStream(trace_program(program)),
+                    NoGatingPolicy())
+    pipe.capture_ops(12)
+    pipe.run()
+    return render_pipetrace(pipe.captured_ops, max_cycles=80)
+
+
+def _wrong_path_trace():
+    """48 ops of mcf on the wrong-path machine: two mispredicts, with
+    squashed ops that never issued, were in flight, or had completed."""
+    generator = SyntheticTraceGenerator(get_profile("mcf"), seed=7)
+    pipe = Pipeline(MachineConfig(model_wrong_path=True),
+                    TraceStream(iter(generator), limit=400),
+                    NoGatingPolicy())
+    generator.prewarm(pipe.hierarchy)
+    pipe.capture_ops(48)
+    pipe.run(max_instructions=400)
+    assert sum(op.squashed for op in pipe.captured_ops) > 0
+    return render_pipetrace(pipe.captured_ops)
+
+
+FROZEN = {"custom_kernel": _custom_kernel_trace,
+          "mcf+wrong-path": _wrong_path_trace}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN))
+def test_pipetrace_matches_frozen_text(case):
+    with open(GOLDEN_PATH, "r", encoding="utf-8") as handle:
+        expected = json.load(handle)[case]
+    assert FROZEN[case]() == expected
+
+
+if __name__ == "__main__":   # pragma: no cover - golden regeneration aid
+    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
+    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
+        json.dump({case: render() for case, render in FROZEN.items()},
+                  handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"regenerated {GOLDEN_PATH} ({len(FROZEN)} cases)")

@@ -1,7 +1,9 @@
 """Per-cycle usage records and running totals."""
 
-from repro.pipeline import CycleUsage, UsageTotals
-from repro.trace import FUClass
+from repro.core import NoGatingPolicy
+from repro.pipeline import CycleUsage, MachineConfig, Pipeline, UsageTotals
+from repro.trace import FUClass, TraceStream
+from repro.workloads import SyntheticTraceGenerator, get_profile
 
 
 def test_cycle_usage_defaults():
@@ -49,3 +51,31 @@ def test_totals_unknown_fu_utilization_zero():
     totals = UsageTotals()
     assert totals.fu_utilization(FUClass.FP_MULT) == 0.0
     assert totals.ipc == 0.0
+
+
+def _totals(chunks):
+    """(core's folded totals, UsageTotals.add over its cycle stream)
+    after a wrong-path, 2-bus run driven in ``chunks``."""
+    generator = SyntheticTraceGenerator(get_profile("gcc"))
+    pipe = Pipeline(MachineConfig(result_buses=2, model_wrong_path=True),
+                    TraceStream(iter(generator), limit=chunks[-1]),
+                    NoGatingPolicy())
+    generator.prewarm(pipe.hierarchy)
+    oracle = UsageTotals()
+    pipe.add_observer(lambda usage, decision: oracle.add(usage))
+    for target in chunks:
+        pipe.run(max_instructions=target)
+    return [{name: getattr(totals, name) for name in UsageTotals.__slots__}
+            for totals in (pipe.totals, oracle)]
+
+
+def test_usage_totals_identical_including_chunked_runs():
+    """The core folds its totals from integer running sums when run()
+    returns; every field — latch slots and FU activity included, which
+    no result field exposes directly — must equal the per-cycle sums of
+    UsageTotals.add, however the run is chunked."""
+    folded, expected = _totals([3000])
+    assert expected["fetched"] > expected["committed"]   # wrong path ran
+    assert folded == expected
+    assert _totals([700, 1900, 3000]) == [expected, expected]
+

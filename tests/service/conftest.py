@@ -152,7 +152,7 @@ def raw_request(url, method, path, content_length, timeout=5.0):
 #: id: ``(fields, text the error names)``.  ``true`` used to be read as
 #: 1 and ``1e12`` as a trillion-instruction run; a non-string field
 #: used to drop the connection; ``int_alus=0`` used to be accepted and
-#: then deadlock its worker
+#: then deadlock its worker, ``int_alus=1000`` to exhaust its memory
 MALFORMED_FIELDS = {
     "instructions-true": ('"instructions": true', "must be a JSON integer"),
     "instructions-1e12": ('"instructions": 1e12', "must be a JSON integer"),
@@ -163,6 +163,7 @@ MALFORMED_FIELDS = {
     "tag-integer": ('"tag": 5', "must be a JSON string"),
     "benchmark-list": ('"benchmark": ["gzip"]', "must be a JSON string"),
     "tag-zero-int-alus": ('"tag": "int_alus=0"', "count must be >= 1"),
+    "tag-huge-int-alus": ('"tag": "int_alus=1000"', "count must be <= 16"),
 }
 
 #: ``?timeout=`` values a result poll must refuse with a JSON 400: a

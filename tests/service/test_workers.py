@@ -1,5 +1,6 @@
 """Worker pool: resolution path, crash retry, timeout, shutdown-requeue."""
 
+import os
 import threading
 import time
 
@@ -230,3 +231,48 @@ def test_stop_drains_nothing_new():
     job = _submit(queue, benchmark="gzip", policy="dcg")
     time.sleep(0.2)
     assert job.state is JobState.QUEUED
+
+
+# -- forking from a threaded server ------------------------------------------
+
+@pytest.mark.parametrize("held", ["journal", "module"])
+def test_fork_while_another_thread_holds_a_journal_lock(
+        tmp_path, monkeypatch, held):
+    """A forked child inherits every lock in the state some other
+    thread of the server left it.  With the journal on, a child forked
+    while a request thread holds a journal lock used to block on its
+    first emit until the job timed out; the child must instead get
+    fresh locks and finish.  ``journal`` holds the configured journal's
+    write lock; ``module`` holds the lock that resolves the journal
+    from ``REPRO_LOG_DIR``."""
+    from repro.obs import configure_journal, events, read_events
+    from repro.service.workers import compute_in_subprocess
+
+    if held == "journal":
+        journal = configure_journal(path=str(tmp_path / "events.jsonl"))
+        lock = journal._lock
+    else:
+        monkeypatch.setenv(events.LOG_DIR_ENV_VAR, str(tmp_path))
+        configure_journal()          # resolve from the environment later
+        lock = events._journal_lock
+    locked, release = threading.Event(), threading.Event()
+
+    def hold():
+        with lock:
+            locked.set()
+            release.wait(60)
+
+    holder = threading.Thread(target=hold, daemon=True)
+    holder.start()
+    assert locked.wait(5)
+    try:
+        result = compute_in_subprocess(
+            make_spec("gzip", "base", instructions=300), None, timeout=20.0)
+    finally:
+        release.set()
+        holder.join()
+        configure_journal()
+    assert result.instructions == 300
+    starts = [event for event in read_events(str(tmp_path / "events.jsonl"))
+              if event["kind"] == "sim.start"]
+    assert starts and starts[0]["pid"] != os.getpid()

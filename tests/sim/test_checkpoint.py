@@ -197,7 +197,7 @@ def test_run_keys_are_pinned():
 
 # -- PausableRun ------------------------------------------------------------
 
-def test_straight_drive_matches_simulator(each_core):
+def test_straight_drive_matches_simulator():
     run = PausableRun("gzip", "dcg", INSTRUCTIONS)
     run.advance()
     direct = Simulator().run_benchmark(
@@ -205,7 +205,7 @@ def test_straight_drive_matches_simulator(each_core):
     assert result_to_dict(run.result()) == result_to_dict(direct)
 
 
-def test_snapshot_resume_is_bit_identical(each_core):
+def test_snapshot_resume_is_bit_identical():
     """Pause mid-run, pickle the state (the store's round-trip), resume
     in a 'fresh process', and finish: byte-identical to never pausing."""
     reference = PausableRun("gzip", "dcg", INSTRUCTIONS)
@@ -222,6 +222,26 @@ def test_snapshot_resume_is_bit_identical(each_core):
     resumed.advance(1400)               # a second pause point
     resumed = PausableRun.resume(pickle.loads(pickle.dumps(
         resumed.state())))
+    resumed.advance()
+    assert result_to_dict(resumed.result()) == \
+        result_to_dict(reference.result())
+
+
+def test_checkpoint_with_live_wake_entries_matches_uninterrupted():
+    """Pause while the core's wake calendar holds entries (ops whose
+    operands become ready later): the resumed run must still finish
+    bit-identical to an uninterrupted one."""
+    reference = PausableRun("mcf", "dcg", 3000)
+    reference.advance()
+    paused = PausableRun("mcf", "dcg", 3000)
+    target = 0
+    while not any(paused.pipeline._wake_ring):
+        target += 50
+        paused.advance(target)
+        assert not paused.done
+    resumed = PausableRun.resume(pickle.loads(pickle.dumps(
+        paused.state(), protocol=pickle.HIGHEST_PROTOCOL)))
+    assert any(resumed.pipeline._wake_ring)
     resumed.advance()
     assert result_to_dict(resumed.result()) == \
         result_to_dict(reference.result())

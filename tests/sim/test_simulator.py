@@ -82,16 +82,18 @@ def test_seed_changes_trace(sim):
     assert a.cycles != b.cycles
 
 
-def test_every_run_steps_one_production_core(object_core):
-    from repro.pipeline import Pipeline
+def test_every_run_steps_one_production_core():
+    import repro
+    import repro.pipeline
+    import repro.pipeline.core
     from repro.pipeline.arraycore import ArrayPipeline
     from repro.sim import PausableRun
     from repro.sim.simulator import resolve_backend
     assert resolve_backend() == "array"
     assert type(PausableRun("gzip", "dcg", 100).pipeline) is ArrayPipeline
-    # the test-only swap reaches the same single assembly point
-    with object_core():
-        assert type(PausableRun("gzip", "dcg", 100).pipeline) is Pipeline
+    # every public name for the pipeline is the production core
+    assert (repro.Pipeline is repro.pipeline.Pipeline
+            is repro.pipeline.core.Pipeline is ArrayPipeline)
 
 
 def test_default_instructions_env(monkeypatch):
