@@ -504,10 +504,10 @@ class JobQueue:
                     self._failed.inc()
                 if self.persist is not None:
                     self.persist.record_fail(job.id)
-                job._done.set()
                 journal.emit("job.restore_expired", trace_id=job.trace_id,
                              deadline_wall=deadline_wall,
                              **job.event_fields())
+                job._done.set()
                 continue
             # surviving deadlines come back as fresh monotonic instants
             deadline_at = (time.monotonic() + (deadline_wall - now_wall)
@@ -587,15 +587,16 @@ class JobQueue:
             job.finished_monotonic = time.monotonic()
             self._inflight.pop(job.key, None)
             self._done.inc()
-        # the terminal record lands before waiters wake: anything a
-        # client observed finished is finished after a restart too
+        # the terminal record and journal event land before waiters
+        # wake: anything a client observed finished is finished after a
+        # restart too, and already in the journal
         if self.persist is not None:
             self.persist.record_done(job.id)
             self._maybe_compact()
-        job._done.set()
         get_journal().emit("job.complete", trace_id=job.trace_id,
                            source=source, seconds=job.seconds,
                            **job.event_fields())
+        job._done.set()
 
     def fail(self, job: Job, error: str,
              traceback: Optional[str] = None) -> None:
@@ -616,10 +617,10 @@ class JobQueue:
         if self.persist is not None:
             self.persist.record_fail(job.id)
             self._maybe_compact()
-        job._done.set()
         get_journal().emit("job.fail", trace_id=job.trace_id,
                            error=error, traceback=traceback,
                            seconds=job.seconds, **job.event_fields())
+        job._done.set()
 
     def requeue(self, job: Job) -> None:
         """Put a running job back (shutdown path); keeps FIFO position.
